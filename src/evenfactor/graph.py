@@ -236,27 +236,40 @@ class _Dinic:
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(v: int, pushed: int) -> int:
-                if v == t:
-                    return pushed
-                while it[v] < len(self.head[v]):
-                    eid = self.head[v][it[v]]
-                    w = self.to[eid]
-                    if self.cap[eid] > 0 and level[w] == level[v] + 1:
-                        got = dfs(w, min(pushed, self.cap[eid]))
-                        if got > 0:
-                            self.cap[eid] -= got
-                            self.cap[eid ^ 1] += got
-                            return got
-                    it[v] += 1
-                return 0
-
             while True:
-                pushed = dfs(s, 1 << 30)
+                pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 flow += pushed
+
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along one s-t path of the level graph; 0 if none is left.
+
+        Depth-first with an explicit stack of edge ids, so path length is not
+        bounded by the recursion limit.  ``it[v]`` is the next edge of v to
+        try; it moves past an edge only when that edge leads to a dead end.
+        """
+        path: list[int] = []
+        v = s
+        while v != t:
+            head = self.head[v]
+            while it[v] < len(head):
+                eid = head[it[v]]
+                if self.cap[eid] > 0 and level[self.to[eid]] == level[v] + 1:
+                    path.append(eid)
+                    v = self.to[eid]
+                    break
+                it[v] += 1
+            else:
+                if not path:
+                    return 0
+                v = self.to[path.pop() ^ 1]
+                it[v] += 1
+        pushed = min(self.cap[eid] for eid in path)
+        for eid in path:
+            self.cap[eid] -= pushed
+            self.cap[eid ^ 1] += pushed
+        return pushed
 
 
 def _edge_flow_value(g: Graph, s: int, t: int) -> int:

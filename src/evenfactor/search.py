@@ -4,6 +4,9 @@ The scalable decision path converts the question into perfect matching:
 add (b-a)/2 loops at every vertex so that even [a,b]-factors of the graph
 correspond to b-factors of the multigraph, then expand every vertex into the
 classical port/core gadget whose perfect matchings correspond to b-factors.
+The matching starts with every core matched to a port of its own vertex, and
+each augmenting-path search then works only on the vertices it labels, so
+its cost follows the search tree rather than the size of the gadget.
 A brute-force edge-subset search provides the independent ground truth at
 small scale, and a bounded parity-free search covers general [a,b]-factors.
 """
@@ -216,10 +219,30 @@ def tutte_gadget(mg: MultiGraph, b: int) -> MatchingInstance:
     )
 
 
-def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
+                                 init: Sequence[int] | None = None) -> list[int]:
     """Maximum matching in a general graph by augmenting paths with blossom
-    contraction.  Returns the mate array (mate[v] = -1 for exposed v)."""
-    mate = [-1] * n
+    contraction.  Returns the mate array (mate[v] = -1 for exposed v).
+
+    ``init`` is an optional starting matching as a mate array; it must be
+    symmetric and use only edges of ``adj`` (ValueError otherwise).  A
+    vertex-order greedy extends it, then one alternating-tree search runs
+    from every vertex still exposed.  Each search records the vertices it
+    labels and does its work on that list only: blossom relabelling walks it,
+    and afterwards only those vertices have ``parent``, ``base`` and
+    ``in_queue`` reset.  The lowest-common-ancestor and blossom marks are
+    integer stamps in arrays allocated once per call, so a search costs time
+    in proportion to its tree, not to n (Gabow 1976).
+    """
+    if init is None:
+        mate = [-1] * n
+    else:
+        mate = list(init)
+        if len(mate) != n:
+            raise ValueError(f"init has {len(mate)} entries, expected {n}")
+        for v, u in enumerate(mate):
+            if u >= 0 and (u >= n or mate[u] != v or u not in adj[v]):
+                raise ValueError(f"init pairs {v} with {u}, not a matching edge")
     for v in range(n):
         if mate[v] < 0:
             for u in adj[v]:
@@ -230,34 +253,34 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]]) -> list[i
 
     parent = [-1] * n
     base = list(range(n))
+    in_queue = [False] * n
+    lca_mark = [0] * n
+    blossom_mark = [0] * n
+    stamp = 0
 
     def find_lca(x: int, y: int) -> int:
-        used = [False] * n
         while True:
             x = base[x]
-            used[x] = True
+            lca_mark[x] = stamp
             if mate[x] < 0:
                 break
             x = parent[mate[x]]
         while True:
             y = base[y]
-            if used[y]:
+            if lca_mark[y] == stamp:
                 return y
             y = parent[mate[y]]
 
-    def mark_blossom(v: int, lca_base: int, child: int, flag: list[bool]) -> None:
+    def mark_blossom(v: int, lca_base: int, child: int) -> None:
         while base[v] != lca_base:
-            flag[base[v]] = True
-            flag[base[mate[v]]] = True
+            blossom_mark[base[v]] = stamp
+            blossom_mark[base[mate[v]]] = stamp
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
 
-    def try_augment(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        in_queue = [False] * n
+    def try_augment(root: int, touched: list[int]) -> bool:
+        nonlocal stamp
         in_queue[root] = True
         queue = deque([root])
         while queue:
@@ -266,19 +289,21 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]]) -> list[i
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
-                    # Even vertex reached: contract the blossom.
+                    # Even vertex reached: contract the blossom.  Only
+                    # labelled vertices can have a base inside it.
+                    stamp += 1
                     lca_base = find_lca(v, to)
-                    flag = [False] * n
-                    mark_blossom(v, lca_base, to, flag)
-                    mark_blossom(to, lca_base, v, flag)
-                    for i in range(n):
-                        if flag[base[i]]:
+                    mark_blossom(v, lca_base, to)
+                    mark_blossom(to, lca_base, v)
+                    for i in touched:
+                        if blossom_mark[base[i]] == stamp:
                             base[i] = lca_base
                             if not in_queue[i]:
                                 in_queue[i] = True
                                 queue.append(i)
                 elif parent[to] < 0:
                     parent[to] = v
+                    touched.append(to)
                     if mate[to] < 0:
                         # Augment: flip matched/unmatched along the path.
                         u = to
@@ -289,23 +314,41 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]]) -> list[i
                             mate[pv] = u
                             u = ppv
                         return True
+                    touched.append(mate[to])
                     in_queue[mate[to]] = True
                     queue.append(mate[to])
         return False
 
     for v in range(n):
         if mate[v] < 0:
-            try_augment(v)
+            touched = [v]
+            try_augment(v, touched)
+            for i in touched:
+                parent[i] = -1
+                base[i] = i
+                in_queue[i] = False
     return mate
 
 
 def max_matching(instance: MatchingInstance) -> set[Edge]:
-    """Maximum-cardinality matching of a gadget instance as an edge set."""
+    """Maximum-cardinality matching of a gadget instance as an edge set.
+
+    The search starts from the core-first matching: the i-th core of every
+    vertex is matched to that vertex's i-th port.  Cores are joined only to
+    ports, and a vertex has d'(v)-b cores against d'(v) ports, so this is
+    always a matching, and it covers every core before the greedy and the
+    augmenting-path searches finish the job.
+    """
     adj: list[list[int]] = [[] for _ in range(instance.n_nodes)]
     for u, v in instance.edges:
         adj[u].append(v)
         adj[v].append(u)
-    mate = maximum_cardinality_matching(instance.n_nodes, adj)
+    init = [-1] * instance.n_nodes
+    for ports, cores in zip(instance.ports, instance.cores):
+        for c, p in zip(cores, ports):
+            init[c] = p
+            init[p] = c
+    mate = maximum_cardinality_matching(instance.n_nodes, adj, init)
     return {(v, mate[v]) for v in range(instance.n_nodes) if 0 <= v < mate[v]}
 
 

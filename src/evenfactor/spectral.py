@@ -246,7 +246,7 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     classified.  Exhaustive mode enumerates upper-triangular edge bitmasks,
     skipping graphs whose degree sequence is not already sorted (every
     isomorphism class keeps at least one representative); random mode needs an
-    explicit seed.
+    explicit seed and runs serially, so it rejects jobs other than 1.
     """
     if not (1 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
@@ -269,6 +269,8 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     if source == "random":
         if seed is None or count is None:
             raise ValueError("random sweep requires explicit seed and count")
+        if jobs != 1:
+            raise ValueError(f"random sweep runs serially; jobs must be 1, got {jobs}")
         rng = random.Random(seed)
         pairs = _vertex_pairs(n)
         records = []

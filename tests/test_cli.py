@@ -140,6 +140,15 @@ def test_sweep_random_without_seed_is_usage_error(capsys):
     assert code == 2
 
 
+def test_sweep_random_with_jobs_is_usage_error(capsys):
+    code, out = run(capsys, "sweep", "--n", "5", "--a", "2", "--b", "2",
+                    "--random", "--count", "5", "--seed", "1", "--jobs", "2")
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage"
+    assert "jobs must be 1" in payload["error"]
+
+
 def test_repro_single_claim(capsys):
     code, out = run(capsys, "repro", "--claim", "sweep-smoke")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 import evenfactor as ef
@@ -127,6 +128,22 @@ def test_edge_connectivity_matches_bipartition_brute_force():
                         [v for v in range(n) if not (mask >> v) & 1])
             for mask in range(1, 1 << (n - 1)))
         assert ef.edge_connectivity(g) == best
+
+
+def test_edge_connectivity_on_a_long_path_does_not_recurse():
+    assert ef.edge_connectivity(ef.path_graph(3000)) == 1
+
+
+def test_connectivity_agrees_with_networkx():
+    rng = random.Random(41)
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8, 1.0]))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.sorted_edges())
+        assert ef.edge_connectivity(g) == nx.edge_connectivity(h)
+        assert ef.vertex_connectivity(g) == nx.node_connectivity(h)
 
 
 def test_whitney_chain_on_connected_noncomplete():

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 import evenfactor as ef
@@ -156,6 +157,105 @@ def test_matching_on_gadget_instances_matches_oracle():
         matching = ef.max_matching(inst)
         assert len(matching) == exhaustive_matching_size(
             inst.n_nodes, sorted(inst.edges))
+
+
+def _networkx_matching_size(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return len(nx.max_weight_matching(g, maxcardinality=True))
+
+
+def _assert_valid_mate(mate, adj):
+    for v, u in enumerate(mate):
+        if u >= 0:
+            assert mate[u] == v
+            assert u in adj[v]
+
+
+def _assert_valid_gadget_matching(inst, matching):
+    edges = set(inst.edges)
+    assert matching <= edges
+    covered = [v for e in matching for v in e]
+    assert len(covered) == len(set(covered))
+
+
+def _gadget_adjacency(inst):
+    adj = [[] for _ in range(inst.n_nodes)]
+    for u, v in inst.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def test_matching_agrees_with_networkx_on_random_graphs():
+    # Sparse to mid-density G(n,p) up to n = 40 is full of odd cycles, so
+    # most searches contract blossoms, often nested ones.
+    rng = random.Random(38)
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.choice([1.5 / n, 3.0 / n, 0.15, 0.3, 0.6]))
+        adj = [list(g.neighbors(v)) for v in range(n)]
+        mate = ef.maximum_cardinality_matching(n, adj)
+        _assert_valid_mate(mate, adj)
+        size = sum(1 for v in range(n) if mate[v] >= 0) // 2
+        assert size == _networkx_matching_size(n, g.sorted_edges())
+
+
+@pytest.mark.parametrize("g, a, b", [
+    (ef.example1(4, 12, 9), 4, 12),
+    (ef.example2(4, 24, 6), 4, 24),
+    (ef.complete_graph(8), 2, 6),
+    (ef.complete_graph(9), 2, 2),
+], ids=["example1_4_12_9", "example2_4_24_6", "K8_2_6", "K9_2_2"])
+def test_matching_on_family_gadgets_agrees_with_networkx(g, a, b):
+    inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
+    expected = _networkx_matching_size(inst.n_nodes, inst.edges)
+    adj = _gadget_adjacency(inst)
+    mate = ef.maximum_cardinality_matching(inst.n_nodes, adj)
+    _assert_valid_mate(mate, adj)
+    assert sum(1 for v in mate if v >= 0) // 2 == expected
+    matching = ef.max_matching(inst)
+    _assert_valid_gadget_matching(inst, matching)
+    assert len(matching) == expected
+
+
+def test_warm_started_gadget_matching_agrees_with_networkx():
+    # max_matching starts from cores matched to ports; augmentations never
+    # expose a matched node, so every core stays covered.
+    rng = random.Random(39)
+    checked = 0
+    while checked < 60:
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.3, 0.6, 0.9]))
+        a, b = rng.choice([(2, 2), (2, 4), (4, 4), (2, 6)])
+        if min(g.degrees) < a:
+            continue
+        checked += 1
+        inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
+        matching = ef.max_matching(inst)
+        _assert_valid_gadget_matching(inst, matching)
+        assert len(matching) == _networkx_matching_size(inst.n_nodes, inst.edges)
+        covered = {v for e in matching for v in e}
+        assert all(c in covered for cores in inst.cores for c in cores)
+
+
+def test_matching_init_is_extended_to_a_maximum_matching():
+    adj = [list(PETERSEN.neighbors(v)) for v in range(10)]
+    init = [-1] * 10
+    init[0], init[4] = 4, 0  # not the pair the vertex-order greedy picks
+    mate = ef.maximum_cardinality_matching(10, adj, init)
+    _assert_valid_mate(mate, adj)
+    assert sum(1 for v in mate if v >= 0) == 10
+
+
+def test_matching_init_must_be_a_matching():
+    adj = [list(C4.neighbors(v)) for v in range(4)]
+    with pytest.raises(ValueError, match="not a matching edge"):
+        ef.maximum_cardinality_matching(4, adj, [1, -1, -1, -1])
+    with pytest.raises(ValueError, match="not a matching edge"):
+        ef.maximum_cardinality_matching(4, adj, [2, -1, 0, -1])
+    with pytest.raises(ValueError, match="entries"):
+        ef.maximum_cardinality_matching(4, adj, [-1, -1])
 
 
 # --------------------------------------------------------- find_even_factor

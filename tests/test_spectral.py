@@ -184,6 +184,11 @@ def test_sweep_random_requires_seed():
     assert ef.sweep_summary(records)["absent"] == 0
 
 
+def test_sweep_random_rejects_jobs():
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        ef.conjecture_sweep(5, 2, 2, source="random", seed=9, count=8, jobs=2)
+
+
 def test_sweep_random_is_reproducible():
     one = ef.conjecture_sweep(6, 2, 2, source="random", seed=13, count=40)
     two = ef.conjecture_sweep(6, 2, 2, source="random", seed=13, count=40)
