@@ -18,8 +18,8 @@ from .errors import ScaleError, SearchBudgetExceeded
 from .formats import from_edge_list_text, to_dot, to_edge_list_text
 from .graph import Graph, degree_profile, sigma2, edge_connectivity, \
     vertex_connectivity
-from .criteria import criterion_decide, main_theorem_conditions, \
-    conjecture_conditions
+from .criteria import EXHAUSTIVE_VERTEX_CAP, criterion_decide, \
+    main_theorem_conditions, conjecture_conditions
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import Factor, find_ab_factor, find_even_factor, verify_factor
 from .spectral import conjecture_sweep, lambda1, sweep_summary
@@ -218,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=18, dest="max_n")
+    p.add_argument("--max-n", type=int, default=EXHAUSTIVE_VERTEX_CAP,
+                   dest="max_n", help="lower the vertex cap (may not exceed "
+                   f"{EXHAUSTIVE_VERTEX_CAP})")
     p.set_defaults(func=_cmd_criterion)
 
     p = sub.add_parser("find-factor", help="search for an [a,b]-factor")

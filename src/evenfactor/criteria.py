@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import ScaleError
@@ -167,11 +168,33 @@ def criterion_decide(g: Graph, a: int, b: int,
 
     Returns (True, None) when the criterion holds, else (False, witness) with
     a maximizing witness; ties are broken by lexicographically smallest
-    (|S|, |T|, S, T).  Enumerates W = S+T as bitmasks with submask splits,
-    pruned by an admissible upper bound; graphs beyond ``max_n`` vertices
-    raise :class:`ScaleError`.
+    (|S|, |T|, S, T).
+
+    Enumerates W = S+T as bitmasks.  For each W, the components of G-W are
+    found once, and an admissible upper bound on the deficiency of every
+    split of W skips W when it cannot reach a positive value or the best one
+    so far.  Since a and b are even, every deficiency is even (q(S,T) has the
+    parity of the number of edges between T and G-S-T), so a positive value
+    is at least 2 and W is skipped when its bound is below max(2, best).
+
+    The splits of a surviving W are walked in Gray-code order, starting from
+    S = W, T = {}: each step moves one member v of W between S and T and
+    updates the value in O(1) word operations instead of re-summing W.
+    Moving v from S to T adds c_v + |N(v) & S| - |N(v) & T| to the linear
+    part, with c_v = a + b - deg v (the reverse move subtracts it), and flips
+    v's component parities in the odd-cut vector whose popcount is q(S,T).
+    Ties with the best value compare witness keys explicitly, so the witness
+    does not depend on the order in which splits are visited.
+
+    ``max_n`` may lower the vertex cap but not raise it above
+    ``EXHAUSTIVE_VERTEX_CAP`` (``ValueError``); graphs beyond the cap in
+    force raise :class:`ScaleError`.
     """
     _require_even_pair(a, b)
+    if max_n > EXHAUSTIVE_VERTEX_CAP:
+        raise ValueError(
+            f"max_n may not exceed the enumeration cap {EXHAUSTIVE_VERTEX_CAP}, "
+            f"got {max_n}")
     n = g.n
     if n > max_n:
         raise ScaleError(
@@ -180,6 +203,11 @@ def criterion_decide(g: Graph, a: int, b: int,
     deg = g.degrees
     full = (1 << n) - 1
     bit_count = int.bit_count
+    # ruler[i - 1] = index of the lowest set bit of i: the member that the
+    # i-th Gray-code step flips.
+    ruler: list[int] = []
+    for j in range(n):
+        ruler += [j] + ruler
 
     best_value = 0
     best_key = None
@@ -214,45 +242,45 @@ def criterion_decide(g: Graph, a: int, b: int,
             out_v = bit_count(adj[v] & ~w)
             ub += max(a - out_v, -b)
             members.append(v)
-        if ub < max(1, best_value):
+        floor = max(2, best_value)
+        if ub < floor:
             continue
 
-        # Parity masks: bit j = parity of |N(v) & comps[j]|; per-member data
-        # tuples keep the inner submask loop tight.
+        # Per member v: its bit, its parity mask (bit j = parity of
+        # |N(v) & comps[j]|), N(v), and c_v + |N(v) & W|.  With S = W - T and
+        # v in neither, |N(v) & S| - |N(v) & T| = |N(v) & W| - 2|N(v) & T|.
         data = []
         for v in members:
             p = 0
             for j, comp in enumerate(comps):
                 if bit_count(adj[v] & comp) & 1:
                     p |= 1 << j
-            data.append((1 << v, p, adj[v], a - deg[v]))
+            av = adj[v]
+            data.append((1 << v, p, av, a + b - deg[v] + bit_count(av & w)))
 
-        t_mask = w
-        while True:
-            s_mask = w ^ t_mask
-            val = -b * bit_count(s_mask)
-            pvec = 0
-            for bit, pm, av, ad in data:
-                if t_mask & bit:
-                    val += ad + bit_count(av & s_mask)
-                    pvec ^= pm
-            val += bit_count(pvec)
-            if val > 0:
-                if val > best_value:
-                    better = True
-                elif val == best_value:
-                    key = _witness_key(s_mask, t_mask)
-                    better = best_key is None or key < best_key
-                else:
-                    better = False
-                if better:
-                    best_value = val
-                    best_key = _witness_key(s_mask, t_mask)
-                    best_witness = CriterionWitness(
-                        _mask_to_tuple(s_mask), _mask_to_tuple(t_mask), val)
-            if t_mask == 0:
-                break
-            t_mask = (t_mask - 1) & w
+        # The start split S = W, T = {} has value -b|W| <= 0 and is skipped.
+        t_mask = 0
+        lin = -b * len(members)
+        pvec = 0
+        for j in islice(ruler, (1 << len(members)) - 1):
+            bit, pm, av, cw = data[j]
+            if t_mask & bit:
+                t_mask ^= bit
+                lin -= cw - 2 * bit_count(av & t_mask)
+            else:
+                lin += cw - 2 * bit_count(av & t_mask)
+                t_mask |= bit
+            pvec ^= pm
+            val = lin + bit_count(pvec)
+            if val >= floor:
+                s_mask = w ^ t_mask
+                key = _witness_key(s_mask, t_mask)
+                if val == best_value and key >= best_key:
+                    continue
+                best_value = floor = val
+                best_key = key
+                best_witness = CriterionWitness(
+                    _mask_to_tuple(s_mask), _mask_to_tuple(t_mask), val)
 
     if best_witness is None:
         return True, None

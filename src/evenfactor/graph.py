@@ -281,12 +281,21 @@ def _edge_flow_value(g: Graph, s: int, t: int) -> int:
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut, via unit-capacity max-flow from vertex 0."""
+    """Global minimum edge cut, via unit-capacity max-flow from vertex 0.
+
+    A connected graph has edge connectivity at least 1, so the first flow of
+    value 1 ends the search (on a tree, after one max-flow).
+    """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
     if not is_connected(g):
         return 0
-    return min(_edge_flow_value(g, 0, v) for v in range(1, g.n))
+    best = g.n
+    for v in range(1, g.n):
+        best = min(best, _edge_flow_value(g, 0, v))
+        if best == 1:
+            break
+    return best
 
 
 def _vertex_flow_value(g: Graph, s: int, t: int) -> int:

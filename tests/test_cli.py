@@ -108,6 +108,16 @@ def test_criterion_scale_error_exit(tmp_path, capsys):
     assert last_json(out)["kind"] == "scale"
 
 
+def test_criterion_max_n_above_the_cap_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "c6.edges"
+    path.write_text(ef.to_edge_list_text(ef.cycle_graph(6)))
+    code, out = run(capsys, "criterion", "--graph", str(path), "--a", "2",
+                    "--b", "2", "--max-n", "40")
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage" and "max_n" in payload["error"]
+
+
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("not a graph\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import evenfactor as ef
+from evenfactor.criteria import EXHAUSTIVE_VERTEX_CAP
 from helpers import brute_max_deficiency, random_graph
 
 STAR = ef.complete_bipartite(1, 3)
@@ -157,6 +158,34 @@ def test_criterion_witness_matches_brute_force_with_tie_break():
                 assert (witness.value, witness.S, witness.T) == (value, s, t)
 
 
+def test_criterion_witness_matches_brute_force_at_seven_and_eight_vertices():
+    # The splits of each W are walked in Gray-code order, so the tie-break
+    # must come from the key comparison alone; n = 7, 8 gives W with up to
+    # 256 splits and many tied maxima.
+    rng = random.Random(9)
+    graphs = [random_graph(rng, n, p)
+              for n in (7, 8) for p in (0.2, 0.5, 0.8) for _ in range(5)]
+    graphs += [ef.cycle_graph(8), ef.complete_bipartite(1, 6),
+               ef.complete_bipartite(3, 4)]
+    # Graphs whose smallest maximizer lies in a W visited after the maximum
+    # was reached, with bound equal to it: such a W must still be walked.
+    graphs += [
+        ef.build_graph(8, [(0, 1), (0, 3), (0, 5), (1, 6), (1, 7), (2, 4), (2, 7),
+                           (3, 4), (3, 7), (4, 5), (4, 7)]),
+        ef.build_graph(6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (2, 5),
+                           (3, 5), (4, 5)]),
+    ]
+    for g in graphs:
+        for a, b in [(2, 2), (2, 4), (4, 6)]:
+            holds, witness = ef.criterion_decide(g, a, b)
+            value, s, t = brute_max_deficiency(g, a, b)
+            assert holds == (value <= 0)
+            if holds:
+                assert witness is None
+            else:
+                assert (witness.value, witness.S, witness.T) == (value, s, t)
+
+
 def test_criterion_sufficiency_on_random_graphs():
     # criterion holds => the construction pipeline finds an even factor
     rng = random.Random(8)
@@ -177,6 +206,14 @@ def test_criterion_scale_cap():
         ef.criterion_decide(ef.complete_graph(6), 2, 2, max_n=5)
     with pytest.raises(ef.ScaleError):
         ef.criterion_decide(ef.example1(4, 12, 9), 4, 12)  # n=20 > 18
+
+
+def test_criterion_max_n_may_lower_but_not_raise_the_cap():
+    assert ef.criterion_decide(C6, 2, 2, max_n=EXHAUSTIVE_VERTEX_CAP) == (True, None)
+    assert ef.criterion_decide(C6, 2, 2, max_n=6) == (True, None)
+    for max_n in (EXHAUSTIVE_VERTEX_CAP + 1, 40):
+        with pytest.raises(ValueError, match="max_n"):
+            ef.criterion_decide(C6, 2, 2, max_n=max_n)
 
 
 def test_witness_json_shape():

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 import evenfactor as ef
+from evenfactor.graph import _edge_flow_value
 from helpers import random_graph
 
 
@@ -132,6 +133,13 @@ def test_edge_connectivity_matches_bipartition_brute_force():
 
 def test_edge_connectivity_on_a_long_path_does_not_recurse():
     assert ef.edge_connectivity(ef.path_graph(3000)) == 1
+
+
+def test_max_flow_along_a_long_path_does_not_recurse():
+    # edge_connectivity stops at its first unit flow, so the long path test
+    # above no longer sends flow along 3000 vertices; this one does.
+    assert _edge_flow_value(ef.path_graph(3000), 0, 2999) == 1
+    assert _edge_flow_value(ef.cycle_graph(3000), 0, 1500) == 2
 
 
 def test_connectivity_agrees_with_networkx():
