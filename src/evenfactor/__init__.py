@@ -1,6 +1,6 @@
 """Exact toolkit for deciding and constructing even [a,b]-factors in graphs."""
 
-from .errors import ScaleError, SearchBudgetExceeded
+from .errors import ScaleError
 from .graph import (
     Graph,
     MultiGraph,

@@ -240,8 +240,7 @@ def claim_sweep_smoke() -> ClaimRow:
         "extremal graph itself sits exactly on the threshold",
         {"n": 5, "a": 2, "b": 2, "source": "exhaustive"},
         observed,
-        summary["absent"] == 0 and summary["budget_exhausted"] == 0
-        and cls == "boundary")
+        summary["absent"] == 0 and cls == "boundary")
 
 
 CLAIMS = {

@@ -2,7 +2,7 @@
 
 Exit codes: 0 = decided/constructed affirmatively; 1 = the decision is
 "absent"/"fails" (a successful run, distinguished for scripting); 2 = usage
-error; 3 = scale or budget error.  Output is JSON on stdout with a full
+error; 3 = scale cap hit.  Output is JSON on stdout with a full
 parameter echo; reruns are byte-identical except for the timestamp field.
 """
 
@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ScaleError, SearchBudgetExceeded
+from .errors import ScaleError
 from .formats import from_edge_list_text, to_dot, to_edge_list_text
 from .graph import Graph, degree_profile, sigma2, edge_connectivity, \
     vertex_connectivity
@@ -113,7 +113,7 @@ def _cmd_find_factor(ns) -> int:
         reason = ("min degree below a" if factor is None
                   and g.n and min(g.degrees) < ns.a else None)
     else:
-        factor = find_ab_factor(g, ns.a, ns.b, budget=ns.budget)
+        factor = find_ab_factor(g, ns.a, ns.b)
         reason = None
     result = {"present": factor is not None,
               "factor": factor.to_json() if factor else None}
@@ -121,18 +121,32 @@ def _cmd_find_factor(ns) -> int:
         result["reason"] = reason
     _emit(_envelope("find-factor",
                     {"graph": ns.graph, "a": ns.a, "b": ns.b,
-                     "even": ns.even, "budget": ns.budget},
+                     "even": ns.even},
                     result))
     return EXIT_OK if factor is not None else EXIT_NEGATIVE
+
+
+def _factor_edges(data, n: int, path: str) -> list[tuple[int, int]]:
+    """The edge list of a parsed factor file: pairs of vertex ids in
+    range(n).  Anything else raises ValueError naming the file."""
+    if not isinstance(data, dict) or "edges" not in data:
+        raise ValueError(f"factor file {path} lacks an 'edges' field")
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise ValueError(f"factor file {path}: 'edges' must be a list of pairs")
+    for i, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2
+                and all(type(v) is int and 0 <= v < n for v in e)):
+            raise ValueError(f"factor file {path}: edge {i} {e!r} is not a "
+                             f"pair of vertex ids in 0..{n - 1}")
+    return [tuple(e) for e in edges]
 
 
 def _cmd_verify(ns) -> int:
     g = _load_graph(ns.graph)
     with open(ns.factor, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "edges" not in data:
-        raise ValueError(f"factor file {ns.factor} lacks an 'edges' field")
-    factor = Factor.from_edges(g, [tuple(e) for e in data["edges"]])
+    factor = Factor.from_edges(g, _factor_edges(data, g.n, ns.factor))
     ok = verify_factor(g, factor, ns.a, ns.b, require_even=ns.even)
     _emit(_envelope("verify",
                     {"graph": ns.graph, "factor": ns.factor, "a": ns.a,
@@ -143,14 +157,14 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_spectral(ns) -> int:
     g = _load_graph(ns.graph)
-    res = lambda1(g, tol=ns.tol)
+    res = lambda1(g)
     _, delta, big = degree_profile(g) if g.n else ((), None, None)
     result = res.to_json() | {
         "min_degree": delta, "max_degree": big, "sigma2": repr(sigma2(g)),
         "edge_connectivity": edge_connectivity(g) if g.n >= 2 else None,
         "vertex_connectivity": vertex_connectivity(g) if g.n >= 2 else None,
     }
-    _emit(_envelope("spectral", {"graph": ns.graph, "tol": ns.tol}, result))
+    _emit(_envelope("spectral", {"graph": ns.graph}, result))
     return EXIT_OK
 
 
@@ -159,25 +173,19 @@ def _cmd_sweep(ns) -> int:
         if ns.seed is None or ns.count is None:
             raise ValueError("--random requires --seed and --count")
         records = conjecture_sweep(ns.n, ns.a, ns.b, source="random",
-                                   seed=ns.seed, count=ns.count,
-                                   budget=ns.budget, jobs=ns.jobs)
+                                   seed=ns.seed, count=ns.count, jobs=ns.jobs)
         source = {"mode": "random", "seed": ns.seed, "count": ns.count}
     else:
         records = conjecture_sweep(ns.n, ns.a, ns.b, source="exhaustive",
-                                   budget=ns.budget, jobs=ns.jobs)
+                                   jobs=ns.jobs)
         source = {"mode": "exhaustive"}
     for rec in records:
         _emit(rec.to_json(), compact=True)
     summary = sweep_summary(records)
     _emit(_envelope("sweep",
-                    {"n": ns.n, "a": ns.a, "b": ns.b, "jobs": ns.jobs,
-                     "budget": ns.budget} | source,
+                    {"n": ns.n, "a": ns.a, "b": ns.b, "jobs": ns.jobs} | source,
                     {"summary": summary}), compact=True)
-    if summary["absent"]:
-        return EXIT_NEGATIVE
-    if summary["budget_exhausted"]:
-        return EXIT_SCALE
-    return EXIT_OK
+    return EXIT_NEGATIVE if summary["absent"] else EXIT_OK
 
 
 def _cmd_repro(ns) -> int:
@@ -228,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--even", action="store_true")
-    p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_find_factor)
 
     p = sub.add_parser("verify", help="verify a factor file against a graph")
@@ -241,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="largest adjacency eigenvalue")
     p.add_argument("--graph", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("sweep", help="eigenvalue-threshold conjecture sweep")
@@ -254,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("repro", help="run the reproducible claim checks")
@@ -271,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ScaleError, SearchBudgetExceeded) as exc:
+    except ScaleError as exc:
         _emit({"error": str(exc), "kind": "scale"})
         return EXIT_SCALE
     except (ValueError, OSError, json.JSONDecodeError) as exc:

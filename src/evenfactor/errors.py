@@ -3,7 +3,3 @@
 
 class ScaleError(RuntimeError):
     """An exhaustive enumeration was requested beyond its configured cap."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """A bounded search ran out of budget before deciding; distinct from absence."""

@@ -1,14 +1,16 @@
-"""Exact construction of even [a,b]-factors.
+"""Exact construction of even [a,b]-factors and of parity-free [a,b]-factors.
 
-The scalable decision path converts the question into perfect matching:
-add (b-a)/2 loops at every vertex so that even [a,b]-factors of the graph
-correspond to b-factors of the multigraph, then expand every vertex into the
-classical port/core gadget whose perfect matchings correspond to b-factors.
+Both questions reduce to a b-factor of a multigraph, decided by perfect
+matching.  For an even [a,b]-factor, add (b-a)/2 loops at every vertex.  For
+an [a,b]-factor of any parity, take the graph, a twin copy of it and b-a
+parallel edges between every vertex and its twin.  Every multigraph is then
+expanded into the classical port/core gadget whose perfect matchings
+correspond to b-factors (Tutte 1952, "The factors of graphs").
 The matching starts with every core matched to a port of its own vertex, and
 each augmenting-path search then works only on the vertices it labels, so
 its cost follows the search tree rather than the size of the gadget.
 A brute-force edge-subset search provides the independent ground truth at
-small scale, and a bounded parity-free search covers general [a,b]-factors.
+small scale.
 """
 
 from __future__ import annotations
@@ -17,15 +19,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ScaleError, SearchBudgetExceeded
+from .errors import ScaleError
 from .graph import Edge, Graph, MultiGraph
 from .criteria import _require_even_pair
 
-#: Edge-count cap for the unbounded exhaustive searches (2^m worst case).
+#: Edge-count cap for the brute-force oracle (2^m worst case).
 EXHAUSTIVE_EDGE_CAP = 24
-
-#: Default node budget for the parity-free branch-and-bound regime.
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -86,12 +85,14 @@ def verify_factor(g: Graph, factor: Factor, a: int, b: int,
     return True
 
 
-def _degree_interval_search(g: Graph, a: int, b: int, require_even: bool,
-                            budget: int | None) -> Factor | None:
+def _degree_interval_search(g: Graph, a: int, b: int,
+                            require_even: bool) -> Factor | None:
     """Backtracking edge-subset search with degree-feasibility pruning.
 
-    Exhaustive (up to the optional node budget): explores exactly the subsets
-    not excluded by the bounds a <= d <= b and the parity constraint.
+    Exhaustive: explores exactly the subsets not excluded by the bounds
+    a <= d <= b and the parity constraint.  It recurses once per edge, so it
+    serves only as the small-scale oracle behind :func:`brute_force_even_factor`
+    and the tests.
     """
     degs = g.degrees
     if any(d < a for d in degs):
@@ -103,7 +104,6 @@ def _degree_interval_search(g: Graph, a: int, b: int, require_even: bool,
     remaining = list(degs)
     chosen_deg = [0] * g.n
     chosen: list[Edge] = []
-    nodes = 0
 
     def feasible(v: int) -> bool:
         lo = max(a, chosen_deg[v])
@@ -115,11 +115,6 @@ def _degree_interval_search(g: Graph, a: int, b: int, require_even: bool,
         return True
 
     def dfs(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchBudgetExceeded(
-                f"degree-interval search exceeded budget of {budget} nodes")
         if i == m:
             return True
         u, v = edges[i]
@@ -152,7 +147,7 @@ def brute_force_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     if g.m > EXHAUSTIVE_EDGE_CAP:
         raise ScaleError(
             f"brute force supports at most {EXHAUSTIVE_EDGE_CAP} edges, got {g.m}")
-    return _degree_interval_search(g, a, b, require_even=True, budget=None)
+    return _degree_interval_search(g, a, b, require_even=True)
 
 
 def loop_augment(g: Graph, a: int, b: int) -> MultiGraph:
@@ -356,6 +351,27 @@ def is_perfect(instance: MatchingInstance, matching: set[Edge]) -> bool:
     return 2 * len(matching) == instance.n_nodes
 
 
+def _factor_from_b_factor(g: Graph, mg: MultiGraph, a: int, b: int,
+                          require_even: bool) -> Factor | None:
+    """Decide a b-factor of ``mg`` by perfect matching on its gadget.
+
+    ``mg`` carries g's edges under their own names.  The b-factor's edges
+    that are edges of g form the returned factor, which is re-verified
+    against [a, b] (and parity when requested).
+    """
+    instance = tutte_gadget(mg, b)
+    matching = max_matching(instance)
+    if not is_perfect(instance, matching):
+        return None
+    chosen = [info[1] for e in matching
+              for info in (instance.decode.get(e),)
+              if info is not None and info[0] == "edge" and info[1] in g.edges]
+    factor = Factor.from_edges(g, chosen)
+    if not verify_factor(g, factor, a, b, require_even):
+        raise RuntimeError("internal error: decoded factor failed verification")
+    return factor
+
+
 def find_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     """Decide and construct an even [a,b]-factor; absence is exact.
 
@@ -364,94 +380,33 @@ def find_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     answer absent immediately.
     """
     _require_even_pair(a, b)
-    if g.n == 0:
-        return Factor.from_edges(g, ())
-    if min(g.degrees) < a:
+    if any(d < a for d in g.degrees):
         return None
-    mg = loop_augment(g, a, b)
-    instance = tutte_gadget(mg, b)
-    matching = max_matching(instance)
-    if not is_perfect(instance, matching):
-        return None
-    chosen = [info[1] for e in matching
-              for info in (instance.decode.get(e),)
-              if info is not None and info[0] == "edge"]
-    factor = Factor.from_edges(g, chosen)
-    if not verify_factor(g, factor, a, b, require_even=True):
-        raise RuntimeError("internal error: decoded factor failed verification")
-    return factor
+    return _factor_from_b_factor(g, loop_augment(g, a, b), a, b, require_even=True)
 
 
-def _complete_bipartite_parts(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Return the two parts if g is a complete bipartite graph, else None."""
-    if g.n < 2 or g.m == 0:
-        return None
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    seen = 1
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if color[w] < 0:
-                color[w] = 1 - color[v]
-                seen += 1
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    if seen != g.n:
-        return None
-    part0 = tuple(v for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v for v in range(g.n) if color[v] == 1)
-    if g.m != len(part0) * len(part1):
-        return None
-    return (part0, part1) if len(part0) <= len(part1) else (part1, part0)
+def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
+    """Decide and construct an [a,b]-factor of any parity; absence is exact.
 
-
-def _bipartite_factor(g: Graph, small: Sequence[int], large: Sequence[int],
-                      a: int, b: int) -> Factor | None:
-    """Closed-form [a,b]-factor decision and construction inside K_{x,y}."""
-    x, y = len(small), len(large)
-    n = x + y
-    if x < a or x * (a + b) < a * n:
-        return None
-    # Give every vertex of the large side degree exactly a and spread the
-    # total as evenly as possible over the small side, then realize greedily.
-    total = a * y
-    q, r = divmod(total, x)
-    small_demand = [q + 1] * r + [q] * (x - r)
-    large_demand = [a] * y
-    chosen: list[Edge] = []
-    order = sorted(range(x), key=lambda i: -small_demand[i])
-    for i in order:
-        targets = sorted(range(y), key=lambda j: -large_demand[j])[: small_demand[i]]
-        for j in targets:
-            if large_demand[j] <= 0:
-                raise RuntimeError("internal error: bipartite demand underflow")
-            large_demand[j] -= 1
-            chosen.append((small[i], large[j]))
-    factor = Factor.from_edges(g, chosen)
-    if not verify_factor(g, factor, a, b, require_even=False):
-        raise RuntimeError("internal error: bipartite construction failed verification")
-    return factor
-
-
-def find_ab_factor(g: Graph, a: int, b: int,
-                   budget: int | None = None) -> Factor | None:
-    """Search for a spanning subgraph with all degrees in [a, b] (any parity).
-
-    Regimes: exhaustive search for at most EXHAUSTIVE_EDGE_CAP edges, closed
-    form for complete bipartite graphs, otherwise branch-and-bound within a
-    node budget.  Budget exhaustion raises :class:`SearchBudgetExceeded`,
-    which is distinct from a proven absence.
+    G has an [a,b]-factor iff the doubled multigraph has a b-factor: G on
+    vertices 0..n-1, a twin copy G' on n..2n-1, and b-a parallel edges
+    between every v and its twin v+n.  A factor F of G copied into both
+    halves, plus b - d_F(v) <= b-a twin edges at each v, is a b-factor;
+    conversely at most b-a twin edges meet v, so the first copy's degrees lie
+    in [a, b].  Vertices of degree below a make the answer absent at once,
+    which keeps every doubled degree at least b as the gadget requires.
     """
     if not (0 <= a <= b):
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-    if g.m <= EXHAUSTIVE_EDGE_CAP:
-        return _degree_interval_search(g, a, b, require_even=False, budget=None)
-    parts = _complete_bipartite_parts(g)
-    if parts is not None:
-        return _bipartite_factor(g, parts[0], parts[1], a, b)
-    return _degree_interval_search(
-        g, a, b, require_even=False,
-        budget=DEFAULT_SEARCH_BUDGET if budget is None else budget)
+    if any(d < a for d in g.degrees):
+        return None
+    n = g.n
+    mult = {}
+    for u, v in g.sorted_edges():
+        mult[(u, v)] = 1
+        mult[(u + n, v + n)] = 1
+    if b > a:
+        for v in range(n):
+            mult[(v, v + n)] = b - a
+    return _factor_from_b_factor(g, MultiGraph(2 * n, mult, {}), a, b,
+                                 require_even=False)

@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 import evenfactor as ef
 from evenfactor.cli import main
+from helpers import random_graph
 
 
 def run(capsys, *argv):
@@ -75,6 +77,43 @@ def test_find_factor_present_and_verify_round_trip(tmp_path, capsys):
     code, out = run(capsys, "verify", "--graph", str(gpath), "--factor",
                     str(fpath), "--a", "6", "--b", "6", "--even")
     assert code == 1
+
+
+def test_find_factor_parity_free_on_a_dense_graph(tmp_path, capsys):
+    gpath = tmp_path / "g.edges"
+    gpath.write_text(ef.to_edge_list_text(random_graph(random.Random(1), 60, 0.6)))
+    code, out = run(capsys, "find-factor", "--graph", str(gpath),
+                    "--a", "2", "--b", "3")
+    assert code == 0
+    result = last_json(out)["result"]
+    assert result["present"] is True
+    assert all(2 <= d <= 3 for d in result["factor"]["degrees"])
+
+
+@pytest.mark.parametrize("content", ['{"edges": 5}', '{"edges": [[0, "x"]]}',
+                                     '{"edges": [[0, 7]]}'])
+def test_verify_malformed_factor_file_is_usage_error(tmp_path, capsys, content):
+    gpath = tmp_path / "k3.edges"
+    gpath.write_text(ef.to_edge_list_text(ef.complete_graph(3)))
+    fpath = tmp_path / "factor.json"
+    fpath.write_text(content)
+    code, out = run(capsys, "verify", "--graph", str(gpath), "--factor",
+                    str(fpath), "--a", "2", "--b", "2")
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage" and "factor file" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-factor", "--graph", "g.edges", "--a", "2", "--b", "3", "--budget", "5"],
+    ["sweep", "--n", "5", "--a", "2", "--b", "2", "--exhaustive", "--budget", "5"],
+    ["spectral", "--graph", "g.edges", "--tol", "1e-9"],
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_conditions_exit_codes(tmp_path, capsys):

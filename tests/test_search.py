@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import networkx as nx
 import pytest
 
 import evenfactor as ef
+from evenfactor.search import _degree_interval_search
 from helpers import (
     encode_factor_as_perfect_matching,
     exhaustive_matching_size,
@@ -320,21 +322,86 @@ def test_find_ab_factor_unbalanced_bipartite_absent():
 
 
 def test_find_ab_factor_closed_form_regime():
-    g = ef.complete_bipartite(7, 7)  # 49 edges: beyond the exhaustive cap
+    # 49 edges: beyond the brute-force oracle's cap, so the closed form of
+    # observation_decide is what these answers follow
+    g = ef.complete_bipartite(7, 7)
     factor = ef.find_ab_factor(g, 2, 4)
     assert factor is not None
     assert ef.verify_factor(g, factor, 2, 4, require_even=False)
     assert ef.find_ab_factor(ef.complete_bipartite(3, 11), 4, 4) is None
 
 
-def test_find_ab_factor_budget_exhaustion_is_distinct():
-    rng = random.Random(36)
-    while True:
-        g = random_graph(rng, 10, 0.65)
-        if g.m > 24 and min(g.degrees) >= 2:
-            break
-    with pytest.raises(ef.SearchBudgetExceeded):
-        ef.find_ab_factor(g, 2, 2, budget=3)
+def test_find_ab_factor_on_a_dense_graph_does_not_recurse():
+    # m = 1060: far beyond any edge-by-edge recursion
+    g = random_graph(random.Random(1), 60, 0.6)
+    assert g.m == 1060
+    factor = ef.find_ab_factor(g, 2, 3)
+    assert factor is not None
+    assert ef.verify_factor(g, factor, 2, 3, require_even=False)
+
+
+def test_find_ab_factor_agrees_with_backtracking_search():
+    rng = random.Random(38)
+    pairs = [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3),
+             (2, 5), (3, 3), (3, 4)]
+    present = 0
+    for _ in range(3000):
+        g = random_graph_edge_capped(rng, rng.randint(1, 9), rng.random(), 24)
+        a, b = rng.choice(pairs)
+        got = ef.find_ab_factor(g, a, b)
+        expected = _degree_interval_search(g, a, b, require_even=False)
+        assert (got is None) == (expected is None), (sorted(g.edges), a, b)
+        if got is not None:
+            present += 1
+            assert ef.verify_factor(g, got, a, b, require_even=False)
+    assert 300 < present < 2700
+
+
+def _lovasz_factor_exists(g, a, b):
+    """Lovasz's (g,f)-factor criterion with lower = a, upper = min(b, d(v)):
+    a factor exists iff no disjoint (S, T) has negative deficiency."""
+    if any(d < a for d in g.degrees):
+        return False
+    lower = [a] * g.n
+    upper = [min(b, d) for d in g.degrees]
+    for assign in itertools.product(range(3), repeat=g.n):
+        s = [v for v in range(g.n) if assign[v] == 1]
+        t = [v for v in range(g.n) if assign[v] == 2]
+        if ef.lovasz_deficiency(g, lower, upper, s, t) < 0:
+            return False
+    return True
+
+
+def test_find_ab_factor_agrees_with_lovasz_criterion():
+    rng = random.Random(39)
+    cases = []
+    # dense 8-vertex graphs, beyond the brute-force oracle's 24 edges
+    while len(cases) < 30:
+        g = random_graph(rng, 8, 0.95)
+        if g.m > 24:
+            cases.append((g, *rng.choice([(1, 2), (2, 3), (3, 3), (4, 5), (5, 5),
+                                          (3, 6)])))
+    # odd order with a = b odd: no factor can exist, by the handshake lemma
+    for _ in range(20):
+        g = random_graph(rng, 7, rng.uniform(0.6, 1.0))
+        cases.append((g, *rng.choice([(1, 1), (3, 3), (5, 5)])))
+    # sparser graphs where the odd components of the criterion matter
+    for _ in range(40):
+        g = random_graph(rng, rng.choice([7, 8]), rng.uniform(0.3, 0.7))
+        cases.append((g, *rng.choice([(1, 1), (1, 2), (2, 2), (2, 3), (0, 1)])))
+    # unbalanced complete bipartite graphs with more than 24 edges
+    cases += [(ef.complete_bipartite(3, 9), 2, 3), (ef.complete_bipartite(4, 7), 3, 3),
+              (ef.complete_bipartite(4, 7), 2, 3)]
+    absent = above_cap = 0
+    for g, a, b in cases:
+        got = ef.find_ab_factor(g, a, b)
+        expected = _lovasz_factor_exists(g, a, b)
+        assert (got is not None) == expected, (sorted(g.edges), a, b)
+        if got is not None:
+            assert ef.verify_factor(g, got, a, b, require_even=False)
+        absent += not expected
+        above_cap += g.m > 24
+    assert absent >= 20 and above_cap >= 33
 
 
 def test_find_ab_factor_matches_even_search_on_even_targets():

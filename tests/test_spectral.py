@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+import sympy
 
 import evenfactor as ef
 from helpers import random_graph
@@ -27,16 +28,24 @@ def test_lambda1_disconnected_takes_max_over_components():
 
 
 def test_lambda1_residual_meets_tolerance():
-    res = ef.lambda1(ef.path_graph(9), tol=1e-12)
+    res = ef.lambda1(ef.path_graph(9))
     assert res.residual <= 1e-12
-    assert res.iterations > 0
+    assert res.iterations == 0
 
 
 def test_lambda1_validates_input():
     with pytest.raises(ValueError):
         ef.lambda1(ef.build_graph(0, []))
-    with pytest.raises(ValueError):
-        ef.lambda1(ef.complete_graph(3), tol=0)
+
+
+def test_lambda1_is_the_largest_root_of_the_characteristic_polynomial():
+    rng = random.Random(43)
+    x = sympy.Symbol("x")
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 8), rng.random())
+        adj = sympy.Matrix(g.n, g.n, lambda i, j: int(g.has_edge(i, j)))
+        roots = sympy.Poly(adj.charpoly(x).as_expr(), x).real_roots()
+        assert ef.lambda1(g).lambda1 == pytest.approx(float(max(roots)), abs=1e-9)
 
 
 def test_lambda1_rayleigh_bounds():
@@ -204,16 +213,6 @@ def test_sweep_parallel_matches_serial():
 def test_sweep_exhaustive_cap():
     with pytest.raises(ef.ScaleError):
         ef.conjecture_sweep(9, 2, 2, source="exhaustive")
-
-
-def test_sweep_records_budget_exhaustion_instead_of_dropping():
-    from evenfactor.spectral import _examine
-
-    # K8 has 28 edges: too many for the exhaustive search, not bipartite,
-    # so the one-node budget must surface as a distinct verdict
-    record = _examine(ef.complete_graph(8), None, 2, 2, 5.0, budget=1)
-    assert record.classification == "candidate"
-    assert record.verdict == "budget_exhausted"
 
 
 def test_sweep_record_serialization():
