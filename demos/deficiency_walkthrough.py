@@ -36,6 +36,8 @@ k4 = ef.complete_graph(4)
 augmented = ef.loop_augment(k4, 2, 4)
 print("  one loop per vertex lifts every degree to", augmented.degrees[0])
 instance = ef.tutte_gadget(augmented, 4)
+print("  real degree 3 < 4, so every 4-factor uses the loop: each vertex gets")
+print("  3 ports and 1 hard core, and the forced loop gets no nodes")
 print("  gadget size:", instance.n_nodes, "nodes,", len(instance.edges), "edges")
 matching = ef.max_matching(instance)
 print("  maximum matching:", len(matching), "pairs; perfect =",

@@ -2,8 +2,11 @@
 
 Exit codes: 0 = decided/constructed affirmatively; 1 = the decision is
 "absent"/"fails" (a successful run, distinguished for scripting); 2 = usage
-error; 3 = scale cap hit.  Output is JSON on stdout with a full
-parameter echo; reruns are byte-identical except for the timestamp field.
+error, malformed or unknown options included; 3 = scale cap hit; 4 = internal
+error, such as a found factor failing its re-verification.  Output is JSON on
+stdout with a full parameter echo, and every failure is a JSON object with
+``error`` and ``kind``; reruns are byte-identical except for the timestamp
+field.  Only ``--help`` prints plain text.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_SCALE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_graph(path: str) -> Graph:
@@ -199,8 +203,16 @@ def _cmd_repro(ns) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_NEGATIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors raise ValueError instead of exiting, so
+    they reach the ``usage`` JSON.  Subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evenfactor",
         description="exact decisions and constructions for even [a,b]-factors")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -272,13 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
     except ScaleError as exc:
         _emit({"error": str(exc), "kind": "scale"})
         return EXIT_SCALE
+    except RuntimeError as exc:
+        _emit({"error": str(exc), "kind": "internal"})
+        return EXIT_INTERNAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc), "kind": "usage"})
         return EXIT_USAGE

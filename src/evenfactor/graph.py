@@ -221,13 +221,19 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+        """Maximum s-t flow; with ``limit``, stop after the phase in which the
+        flow reaches it and return that value (>= ``limit``).
+
+        The level search stops once it labels t: no shortest path uses a
+        vertex at t's level or beyond.
+        """
         flow = 0
-        while True:
+        while limit is None or flow < limit:
             level = [-1] * self.n
             level[s] = 0
             queue = deque([s])
-            while queue:
+            while queue and level[t] < 0:
                 v = queue.popleft()
                 for eid in self.head[v]:
                     if self.cap[eid] > 0 and level[self.to[eid]] < 0:
@@ -241,6 +247,7 @@ class _Dinic:
                 if pushed == 0:
                     break
                 flow += pushed
+        return flow
 
     def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
         """Push flow along one s-t path of the level graph; 0 if none is left.
@@ -272,27 +279,37 @@ class _Dinic:
         return pushed
 
 
-def _edge_flow_value(g: Graph, s: int, t: int) -> int:
+def _edge_flow_network(g: Graph) -> _Dinic:
+    """Unit-capacity network with both directions of every edge of g."""
     net = _Dinic(g.n)
     for u, v in g.edges:
         net.add_edge(u, v, 1)
         net.add_edge(v, u, 1)
-    return net.max_flow(s, t)
+    return net
+
+
+def _edge_flow_value(g: Graph, s: int, t: int) -> int:
+    return _edge_flow_network(g).max_flow(s, t)
 
 
 def edge_connectivity(g: Graph) -> int:
     """Global minimum edge cut, via unit-capacity max-flow from vertex 0.
 
-    A connected graph has edge connectivity at least 1, so the first flow of
+    One network serves every target: its capacities are reset before each
+    flow, and a flow stops once it reaches the smallest cut found so far.  A
+    connected graph has edge connectivity at least 1, so the first flow of
     value 1 ends the search (on a tree, after one max-flow).
     """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
     if not is_connected(g):
         return 0
+    net = _edge_flow_network(g)
+    unit = list(net.cap)
     best = g.n
     for v in range(1, g.n):
-        best = min(best, _edge_flow_value(g, 0, v))
+        net.cap[:] = unit
+        best = min(best, net.max_flow(0, v, best))
         if best == 1:
             break
     return best

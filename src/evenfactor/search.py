@@ -4,11 +4,16 @@ Both questions reduce to a b-factor of a multigraph, decided by perfect
 matching.  For an even [a,b]-factor, add (b-a)/2 loops at every vertex.  For
 an [a,b]-factor of any parity, take the graph, a twin copy of it and b-a
 parallel edges between every vertex and its twin.  Every multigraph is then
-expanded into the classical port/core gadget whose perfect matchings
-correspond to b-factors (Tutte 1952, "The factors of graphs").
-The matching starts with every core matched to a port of its own vertex, and
-each augmenting-path search then works only on the vertices it labels, so
-its cost follows the search tree rather than the size of the gadget.
+expanded into a port/core gadget whose perfect matchings correspond to
+b-factors (Tutte 1952, "The factors of graphs"; Lovász 1970; Anstee 1985).
+Each vertex gets one port per real edge endpoint and hard cores that cap
+its real degree at b; each loop it may leave unused becomes a soft pair of
+nodes on those ports, so loops get no ports of their own and loops that
+every b-factor uses get no nodes at all.
+The matching starts with every hard core matched to a port of its own
+vertex, and each augmenting-path search then works only on the vertices it
+labels, so its cost follows the search tree rather than the size of the
+gadget.
 A brute-force edge-subset search provides the independent ground truth at
 small scale.
 """
@@ -53,10 +58,12 @@ class Factor:
 class MatchingInstance:
     """Gadget graph whose perfect matchings encode b-factors of a multigraph.
 
-    ``ports[v]`` lists the gadget nodes standing for edge endpoints at v (two
-    per loop), ``cores[v]`` the d'(v)-b filler nodes completely joined to
-    them.  ``decode`` maps the gadget edges that stand for host edges or
-    loops; gadget edges absent from it are internal core joins.
+    ``ports[v]`` lists the gadget nodes standing for real edge endpoints at v,
+    ``cores[v]`` the hard cores completely joined to them.  ``decode`` maps
+    the gadget edge of each real edge to ``("edge", (u, v))`` and the inner
+    edge of each soft pair at v to ``("unused_loop", v)``: matched, it leaves
+    one of v's loops out of the b-factor.  Gadget edges absent from it join
+    cores or soft nodes to ports.
     """
 
     n_nodes: int
@@ -161,11 +168,20 @@ def loop_augment(g: Graph, a: int, b: int) -> MultiGraph:
 def tutte_gadget(mg: MultiGraph, b: int) -> MatchingInstance:
     """Expand a multigraph into the port/core gadget for target degree b.
 
-    Every vertex v with degree d'(v) gets one port per incident edge endpoint
-    (two per loop) and d'(v)-b core nodes joined to all of its ports; every
-    edge or loop gets one gadget edge between its own ports.  Perfect
-    matchings correspond exactly to spanning subgraphs with all degrees b.
-    Vertices with d'(v) < b cannot reach degree b: fail fast, naming one.
+    Let v have d real edge endpoints and k loops.  A b-factor that uses j of
+    the loops gives v real degree b - 2j, so v's real degree may be any value
+    of b's parity from b - 2k up to ``top``, the largest one <= min(b, d).
+    v gets d ports, one per real edge endpoint; d - top hard cores joined to
+    every port; and k - (b - top)/2 soft pairs, two nodes joined to each
+    other and to every port.  Every real edge gets one gadget edge between
+    its own ports.  In a perfect matching the hard cores take d - top ports
+    and each soft pair takes two ports or itself, which leaves top, top-2,
+    ..., b-2k ports to real edges: perfect matchings correspond exactly to
+    b-factors (Tutte 1952; Lovász 1970; Anstee 1985).  The (b - top)/2 loops
+    that every b-factor must use, which occur only where d < b, get no
+    nodes, and a loop-free multigraph gets the plain gadget with d - b hard
+    cores.  Vertices with d + 2k < b cannot reach degree b: fail fast,
+    naming one.
     """
     degs = mg.degrees
     for v in range(mg.n):
@@ -177,33 +193,27 @@ def tutte_gadget(mg: MultiGraph, b: int) -> MatchingInstance:
     gadget_edges: list[Edge] = []
     decode: dict[Edge, tuple] = {}
     counter = 0
-
-    def new_node() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
     for (u, v) in sorted(mg.edge_mult):
         for _ in range(mg.edge_mult[(u, v)]):
-            pu, pv = new_node(), new_node()
-            ports[u].append(pu)
-            ports[v].append(pv)
-            e = (min(pu, pv), max(pu, pv))
-            gadget_edges.append(e)
-            decode[e] = ("edge", (u, v))
+            ports[u].append(counter)
+            ports[v].append(counter + 1)
+            gadget_edges.append((counter, counter + 1))
+            decode[(counter, counter + 1)] = ("edge", (u, v))
+            counter += 2
     for v in range(mg.n):
-        for _ in range(mg.loops.get(v, 0)):
-            p1, p2 = new_node(), new_node()
-            ports[v].extend((p1, p2))
-            e = (min(p1, p2), max(p1, p2))
-            gadget_edges.append(e)
-            decode[e] = ("loop", v)
-    for v in range(mg.n):
-        for _ in range(degs[v] - b):
-            c = new_node()
-            cores[v].append(c)
-            for p in ports[v]:
-                gadget_edges.append((min(c, p), max(c, p)))
+        d = len(ports[v])
+        top = min(b, d)
+        top -= (b - top) % 2
+        for _ in range(d - top):
+            cores[v].append(counter)
+            gadget_edges.extend((p, counter) for p in ports[v])
+            counter += 1
+        for _ in range(mg.loops.get(v, 0) - (b - top) // 2):
+            pair = (counter, counter + 1)
+            gadget_edges.append(pair)
+            decode[pair] = ("unused_loop", v)
+            gadget_edges.extend((p, s) for s in pair for p in ports[v])
+            counter += 2
 
     return MatchingInstance(
         n_nodes=counter,
@@ -328,11 +338,11 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
 def max_matching(instance: MatchingInstance) -> set[Edge]:
     """Maximum-cardinality matching of a gadget instance as an edge set.
 
-    The search starts from the core-first matching: the i-th core of every
-    vertex is matched to that vertex's i-th port.  Cores are joined only to
-    ports, and a vertex has d'(v)-b cores against d'(v) ports, so this is
-    always a matching, and it covers every core before the greedy and the
-    augmenting-path searches finish the job.
+    The search starts from the core-first matching: the i-th hard core of
+    every vertex is matched to that vertex's i-th port.  Hard cores are joined
+    only to ports, and a vertex has at most as many hard cores as ports, so
+    this is always a matching, and it covers every hard core before the
+    greedy and the augmenting-path searches finish the job.
     """
     adj: list[list[int]] = [[] for _ in range(instance.n_nodes)]
     for u, v in instance.edges:

@@ -76,37 +76,45 @@ def encode_factor_as_perfect_matching(g: ef.Graph, a: int, b: int,
                                       factor: ef.Factor) -> set[tuple[int, int]]:
     """Build the gadget matching that an even [a,b]-factor induces.
 
-    Chosen host edges match their twin gadget edge, (b - d_F(v))/2 loops per
-    vertex match their own pair, and the leftover ports pair off with cores.
-    The result must be a perfect matching of the instance.
+    Chosen host edges match their twin gadget edge.  At each vertex v, with
+    top the largest value of b's parity at most min(b, d(v)), the factor
+    uses (top - d_F(v))/2 of the loops that are not forced: that many soft
+    pairs take two free ports each, the other soft pairs (loops left unused)
+    match to each other, and the leftover ports pair off with the hard
+    cores.  The result must be a perfect matching of the instance.
     """
     mg = ef.loop_augment(g, a, b)
     inst = ef.tutte_gadget(mg, b)
     twin = {}
-    loop_edges: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
+    soft_pairs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
     for e, info in inst.decode.items():
         if info[0] == "edge":
             twin[info[1]] = e
         else:
-            loop_edges[info[1]].append(e)
+            assert info[0] == "unused_loop"
+            soft_pairs[info[1]].append(e)
     matched: set[tuple[int, int]] = set()
     used: set[int] = set()
 
-    def take(e: tuple[int, int]) -> None:
-        assert e[0] not in used and e[1] not in used
-        matched.add(e)
-        used.update(e)
+    def take(u: int, v: int) -> None:
+        assert u not in used and v not in used
+        matched.add((min(u, v), max(u, v)))
+        used.update((u, v))
 
     for host_edge in sorted(factor.edges):
-        take(twin[host_edge])
+        take(*twin[host_edge])
     for v in range(g.n):
-        needed = (b - factor.degrees[v]) // 2
-        for e in sorted(loop_edges[v])[:needed]:
-            take(e)
+        top = max(x for x in range(min(b, g.degrees[v]) + 1) if x % 2 == b % 2)
+        on_ports = (top - factor.degrees[v]) // 2
         free_ports = [p for p in inst.ports[v] if p not in used]
+        for x, y in sorted(soft_pairs[v])[:on_ports]:
+            take(x, free_ports.pop())
+            take(y, free_ports.pop())
+        for x, y in sorted(soft_pairs[v])[on_ports:]:
+            take(x, y)
         assert len(free_ports) == len(inst.cores[v])
         for p, c in zip(free_ports, inst.cores[v]):
-            take((min(p, c), max(p, c)))
+            take(p, c)
 
     edge_set = set(inst.edges)
     assert matched <= edge_set

@@ -110,10 +110,48 @@ def test_verify_malformed_factor_file_is_usage_error(tmp_path, capsys, content):
     ["spectral", "--graph", "g.edges", "--tol", "1e-9"],
 ])
 def test_removed_options_are_usage_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage"
+    assert "unrecognized arguments" in payload["error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "required: command"),
+    (["find-factor", "--graph", "g.edges", "--a", "two", "--b", "4"], "invalid int"),
+    (["find-factor", "--a", "2", "--b", "4"], "required: --graph"),
+    (["sweep", "--n", "5", "--a", "2", "--b", "2"], "one of the arguments"),
+    (["construct", "petersen"], "invalid choice"),
+])
+def test_malformed_arguments_are_usage_errors(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage" and message in payload["error"]
+
+
+def test_help_still_prints_plain_text(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["find-factor", "--help"])
+    assert exc.value.code == 0
+    assert "--even" in capsys.readouterr().out
+
+
+def test_internal_error_is_reported_as_json(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k5.edges"
+    path.write_text(ef.to_edge_list_text(ef.complete_graph(5)))
+
+    def broken(g, a, b):
+        raise RuntimeError("internal error: decoded factor failed verification")
+
+    monkeypatch.setattr("evenfactor.cli.find_even_factor", broken)
+    code, out = run(capsys, "find-factor", "--graph", str(path), "--a", "2",
+                    "--b", "4", "--even")
+    assert code == 4
+    payload = last_json(out)
+    assert payload == {"error": "internal error: decoded factor failed verification",
+                       "kind": "internal"}
 
 
 def test_check_conditions_exit_codes(tmp_path, capsys):

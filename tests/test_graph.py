@@ -154,6 +154,27 @@ def test_connectivity_agrees_with_networkx():
         assert ef.vertex_connectivity(g) == nx.node_connectivity(h)
 
 
+def test_edge_connectivity_agrees_with_networkx_on_larger_graphs():
+    # many targets per call, so every flow runs on capacities reset from the
+    # previous one; an appended two-vertex path puts a cut of 2 at the last
+    # targets, below the cuts found before them
+    rng = random.Random(42)
+    values = set()
+    for _ in range(30):
+        n = rng.randint(15, 45)
+        g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+        if rng.random() < 0.5:
+            x, y = rng.sample(range(n), 2)
+            g = ef.build_graph(n + 2, sorted(g.edges) + [(x, n), (n, n + 1), (n + 1, y)])
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.sorted_edges())
+        value = ef.edge_connectivity(g)
+        assert value == nx.edge_connectivity(h)
+        values.add(value)
+    assert {0, 1, 2} <= values and max(values) >= 5
+
+
 def test_whitney_chain_on_connected_noncomplete():
     rng = random.Random(3)
     done = 0

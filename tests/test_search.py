@@ -82,18 +82,86 @@ def test_gadget_cycle_without_slack_forces_the_cycle():
 
 
 def test_gadget_single_loop_vertex():
+    # d = 0 < b = 2: every 2-factor uses the loop, so it gets no nodes and
+    # the empty gadget is trivially perfect
     inst = ef.tutte_gadget(ef.MultiGraph(1, {}, {0: 1}), 2)
-    assert inst.n_nodes == 2
-    assert len(inst.edges) == 1
+    assert inst.n_nodes == 0
+    assert inst.edges == () and inst.decode == {}
     matching = ef.max_matching(inst)
+    assert matching == set()
     assert ef.is_perfect(inst, matching)
-    assert inst.decode[next(iter(matching))] == ("loop", 0)
 
 
 def test_gadget_k4_size_for_slack_two():
+    # d = 3 < b = 4: top = 2, one hard core, and the loop is always used
     inst = ef.tutte_gadget(ef.loop_augment(K4, 2, 4), 4)
-    assert inst.n_nodes == 24
-    assert inst.n_nodes % 2 == 0
+    assert inst.n_nodes == 16
+    assert len(inst.edges) == 18
+    assert all(len(c) == 1 for c in inst.cores)
+    assert all(info[0] == "edge" for info in inst.decode.values())
+
+
+def _expected_gadget_size(g, a, b):
+    """Per-vertex port, hard-core and soft-pair counts of g's gadget with
+    (b-a)/2 loops per vertex, and the gadget's node and edge totals."""
+    k = (b - a) // 2
+    per_vertex = []
+    nodes, edges = 0, g.m
+    for d in g.degrees:
+        top = max(x for x in range(min(b, d) + 1) if x % 2 == b % 2)
+        cores, pairs = d - top, k - (b - top) // 2
+        per_vertex.append((d, cores, pairs))
+        nodes += d + cores + 2 * pairs
+        edges += cores * d + pairs * (1 + 2 * d)
+    return per_vertex, nodes, edges
+
+
+def test_gadget_size_follows_the_formula_on_random_graphs():
+    rng = random.Random(40)
+    checked = below_b = 0
+    while checked < 200:
+        a, b = rng.choice([(2, 4), (2, 6), (4, 8), (2, 8), (4, 10), (2, 10)])
+        g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.3, 1.0))
+        if min(g.degrees) < a:
+            continue
+        checked += 1
+        below_b += sum(d < b for d in g.degrees)
+        inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
+        per_vertex, nodes, edges = _expected_gadget_size(g, a, b)
+        assert (inst.n_nodes, len(inst.edges)) == (nodes, edges)
+        for v, (d, cores, pairs) in enumerate(per_vertex):
+            assert len(inst.ports[v]) == d
+            assert len(inst.cores[v]) == cores
+            assert list(inst.decode.values()).count(("unused_loop", v)) == pairs
+        assert len(set(inst.edges)) == len(inst.edges)
+        assert all(0 <= u < v < inst.n_nodes for u, v in inst.edges)
+    assert below_b >= 200
+
+
+def test_loop_free_gadget_has_d_minus_b_cores():
+    # find_ab_factor's doubled graph: G, a twin copy, b-a parallel twin edges
+    rng = random.Random(41)
+    for _ in range(40):
+        a, b = rng.choice([(0, 1), (1, 3), (2, 2), (2, 5), (3, 4)])
+        g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.3, 1.0))
+        if min(g.degrees) < a:
+            continue
+        n = g.n
+        mult = {}
+        for u, v in g.sorted_edges():
+            mult[(u, v)] = mult[(u + n, v + n)] = 1
+        if b > a:
+            for v in range(n):
+                mult[(v, v + n)] = b - a
+        mg = ef.MultiGraph(2 * n, mult, {})
+        inst = ef.tutte_gadget(mg, b)
+        degs = mg.degrees
+        assert inst.n_nodes == sum(degs) + sum(d - b for d in degs)
+        assert len(inst.edges) == sum(mult.values()) + sum(d * (d - b) for d in degs)
+        assert [len(p) for p in inst.ports] == list(degs)
+        assert [len(c) for c in inst.cores] == [d - b for d in degs]
+        assert sorted(inst.decode.values()) == sorted(
+            ("edge", e) for e, k in mult.items() for _ in range(k))
 
 
 def test_gadget_names_deficient_vertex():
@@ -280,7 +348,7 @@ def test_find_even_factor_agrees_with_brute_force():
     rng = random.Random(34)
     for _ in range(10_000):
         g = random_graph_edge_capped(rng, rng.choice([7, 8, 9]), rng.random(), 24)
-        for a, b in [(2, 2), (2, 4), (4, 4), (2, 6)]:
+        for a, b in [(2, 2), (2, 4), (4, 4), (2, 6), (2, 8), (4, 10), (2, 10)]:
             got = ef.find_even_factor(g, a, b)
             expected = ef.brute_force_even_factor(g, a, b)
             assert (got is None) == (expected is None)
