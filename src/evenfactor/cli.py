@@ -112,17 +112,12 @@ def _cmd_criterion(ns) -> int:
 
 def _cmd_find_factor(ns) -> int:
     g = _load_graph(ns.graph)
-    if ns.even:
-        factor = find_even_factor(g, ns.a, ns.b)
-        reason = ("min degree below a" if factor is None
-                  and g.n and min(g.degrees) < ns.a else None)
-    else:
-        factor = find_ab_factor(g, ns.a, ns.b)
-        reason = None
+    find = find_even_factor if ns.even else find_ab_factor
+    factor = find(g, ns.a, ns.b)
     result = {"present": factor is not None,
               "factor": factor.to_json() if factor else None}
-    if factor is None and reason:
-        result["reason"] = reason
+    if factor is None and g.n and min(g.degrees) < ns.a:
+        result["reason"] = "min degree below a"
     _emit(_envelope("find-factor",
                     {"graph": ns.graph, "a": ns.a, "b": ns.b,
                      "even": ns.even},

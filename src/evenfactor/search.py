@@ -1,19 +1,19 @@
 """Exact construction of even [a,b]-factors and of parity-free [a,b]-factors.
 
-Both questions reduce to a b-factor of a multigraph, decided by perfect
-matching.  For an even [a,b]-factor, add (b-a)/2 loops at every vertex.  For
-an [a,b]-factor of any parity, take the graph, a twin copy of it and b-a
-parallel edges between every vertex and its twin.  Every multigraph is then
-expanded into a port/core gadget whose perfect matchings correspond to
-b-factors (Tutte 1952, "The factors of graphs"; Lovász 1970; Anstee 1985).
+Both questions are decided on the graph itself by matching on a port/core
+gadget (Tutte 1952, "The factors of graphs"; Lovász 1970; Anstee 1985).
 Each vertex gets one port per real edge endpoint and hard cores that cap
-its real degree at b; each loop it may leave unused becomes a soft pair of
-nodes on those ports, so loops get no ports of their own and loops that
-every b-factor uses get no nodes at all.
+its real degree at b.  For an even [a,b]-factor, (b-a)/2 loops are added at
+every vertex and each loop a vertex may leave unused becomes a soft pair of
+nodes on its ports, so loops get no ports of their own and loops that every
+b-factor uses get no nodes at all.  For an [a,b]-factor of any parity, each
+vertex instead gets min(b, d) - a soft singles on its ports, which may stay
+exposed.  A factor exists iff a matching covers every node but the soft
+singles.
 The matching starts with every hard core matched to a port of its own
-vertex, and each augmenting-path search then works only on the vertices it
-labels, so its cost follows the search tree rather than the size of the
-gadget.
+vertex, roots its searches only at nodes that must be covered, and each
+search then works only on the vertices it labels, so its cost follows the
+search tree rather than the size of the gadget.
 A brute-force edge-subset search provides the independent ground truth at
 small scale.
 """
@@ -56,14 +56,16 @@ class Factor:
 
 @dataclass(frozen=True, eq=False)
 class MatchingInstance:
-    """Gadget graph whose perfect matchings encode b-factors of a multigraph.
+    """Gadget graph whose matchings covering every node but the soft singles
+    encode factors of a multigraph.
 
     ``ports[v]`` lists the gadget nodes standing for real edge endpoints at v,
-    ``cores[v]`` the hard cores completely joined to them.  ``decode`` maps
-    the gadget edge of each real edge to ``("edge", (u, v))`` and the inner
-    edge of each soft pair at v to ``("unused_loop", v)``: matched, it leaves
-    one of v's loops out of the b-factor.  Gadget edges absent from it join
-    cores or soft nodes to ports.
+    ``cores[v]`` the hard cores completely joined to them and ``singles[v]``
+    the soft singles joined to them, which may stay exposed (empty in an
+    even gadget).  ``decode`` maps the gadget edge of each real edge to
+    ``("edge", (u, v))`` and the inner edge of each soft pair at v to
+    ``("unused_loop", v)``: matched, it leaves one of v's loops out of the
+    b-factor.  Gadget edges absent from it join cores or soft nodes to ports.
     """
 
     n_nodes: int
@@ -71,6 +73,7 @@ class MatchingInstance:
     decode: dict[Edge, tuple]
     ports: tuple[tuple[int, ...], ...]
     cores: tuple[tuple[int, ...], ...]
+    singles: tuple[tuple[int, ...], ...]
 
 
 def verify_factor(g: Graph, factor: Factor, a: int, b: int,
@@ -165,8 +168,8 @@ def loop_augment(g: Graph, a: int, b: int) -> MultiGraph:
     return MultiGraph(g.n, {e: 1 for e in g.sorted_edges()}, loops)
 
 
-def tutte_gadget(mg: MultiGraph, b: int) -> MatchingInstance:
-    """Expand a multigraph into the port/core gadget for target degree b.
+def tutte_gadget(mg: MultiGraph, b: int, a: int | None = None) -> MatchingInstance:
+    """Expand a multigraph into the port/core gadget for degrees up to b.
 
     Let v have d real edge endpoints and k loops.  A b-factor that uses j of
     the loops gives v real degree b - 2j, so v's real degree may be any value
@@ -182,14 +185,25 @@ def tutte_gadget(mg: MultiGraph, b: int) -> MatchingInstance:
     nodes, and a loop-free multigraph gets the plain gadget with d - b hard
     cores.  Vertices with d + 2k < b cannot reach degree b: fail fast,
     naming one.
+
+    Given a lower bound ``a``, the gadget is the parity-free one for a
+    loop-free multigraph: top = min(b, d), d - top hard cores, and top - a
+    soft singles, each joined to every port of v.  A matching that covers
+    every port and hard core leaves between a and top ports to real edges,
+    so such matchings correspond exactly to [a,b]-factors (Lovász 1970).
+    Vertices with d < a fail fast, naming one.
     """
+    if a is not None and any(mg.loops.values()):
+        raise ValueError("the parity-free gadget takes a loop-free multigraph")
+    low = b if a is None else a
     degs = mg.degrees
     for v in range(mg.n):
-        if degs[v] < b:
+        if degs[v] < low:
             raise ValueError(
-                f"vertex {v} has augmented degree {degs[v]} < b={b}; no b-factor exists")
+                f"vertex {v} has augmented degree {degs[v]} < {low}; no factor exists")
     ports: list[list[int]] = [[] for _ in range(mg.n)]
     cores: list[list[int]] = [[] for _ in range(mg.n)]
+    singles: list[list[int]] = [[] for _ in range(mg.n)]
     gadget_edges: list[Edge] = []
     decode: dict[Edge, tuple] = {}
     counter = 0
@@ -203,9 +217,14 @@ def tutte_gadget(mg: MultiGraph, b: int) -> MatchingInstance:
     for v in range(mg.n):
         d = len(ports[v])
         top = min(b, d)
-        top -= (b - top) % 2
+        if a is None:
+            top -= (b - top) % 2
         for _ in range(d - top):
             cores[v].append(counter)
+            gadget_edges.extend((p, counter) for p in ports[v])
+            counter += 1
+        for _ in range(0 if a is None else top - a):
+            singles[v].append(counter)
             gadget_edges.extend((p, counter) for p in ports[v])
             counter += 1
         for _ in range(mg.loops.get(v, 0) - (b - top) // 2):
@@ -221,23 +240,33 @@ def tutte_gadget(mg: MultiGraph, b: int) -> MatchingInstance:
         decode=decode,
         ports=tuple(tuple(p) for p in ports),
         cores=tuple(tuple(c) for c in cores),
+        singles=tuple(tuple(s) for s in singles),
     )
 
 
 def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
-                                 init: Sequence[int] | None = None) -> list[int]:
-    """Maximum matching in a general graph by augmenting paths with blossom
-    contraction.  Returns the mate array (mate[v] = -1 for exposed v).
+                                 init: Sequence[int] | None = None,
+                                 optional: Iterable[int] = ()) -> list[int]:
+    """Matching in a general graph that covers as many required nodes as any
+    matching can, by alternating-tree searches with blossom contraction.
+    Returns the mate array (mate[v] = -1 for exposed v).
 
-    ``init`` is an optional starting matching as a mate array; it must be
-    symmetric and use only edges of ``adj`` (ValueError otherwise).  A
-    vertex-order greedy extends it, then one alternating-tree search runs
-    from every vertex still exposed.  Each search records the vertices it
-    labels and does its work on that list only: blossom relabelling walks it,
-    and afterwards only those vertices have ``parent``, ``base`` and
-    ``in_queue`` reset.  The lowest-common-ancestor and blossom marks are
-    integer stamps in arrays allocated once per call, so a search costs time
-    in proportion to its tree, not to n (Gabow 1976).
+    Nodes in ``optional`` may stay exposed; every other node is required.
+    With no optional nodes the result is a maximum matching.  ``init`` is an
+    optional starting matching as a mate array; it must be symmetric and use
+    only edges of ``adj`` (ValueError otherwise).  A vertex-order greedy
+    extends it, then one search runs from every required node still exposed;
+    optional nodes are never roots.  A search ends at an exposed node
+    (augment) or at a matched optional node that becomes even (outer);
+    flipping the even alternating path to it covers the root and exposes
+    that node.  Either way every covered required node stays covered, so the
+    covered required nodes grow as in the greedy algorithm on the matching
+    matroid, and a root no search can cover stays uncoverable.  Each search
+    records the vertices it labels and does its work on that list only:
+    blossom relabelling walks it, and afterwards only those vertices have
+    ``parent``, ``base`` and ``in_queue`` reset.  The lowest-common-ancestor
+    and blossom marks are integer stamps in arrays allocated once per call,
+    so a search costs time in proportion to its tree, not to n (Gabow 1976).
     """
     if init is None:
         mate = [-1] * n
@@ -248,8 +277,11 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
         for v, u in enumerate(mate):
             if u >= 0 and (u >= n or mate[u] != v or u not in adj[v]):
                 raise ValueError(f"init pairs {v} with {u}, not a matching edge")
+    is_optional = [False] * n
+    for v in optional:
+        is_optional[v] = True
     for v in range(n):
-        if mate[v] < 0:
+        if mate[v] < 0 and not is_optional[v]:
             for u in adj[v]:
                 if mate[u] < 0:
                     mate[v] = u
@@ -284,6 +316,22 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
             child = mate[v]
             v = parent[mate[v]]
 
+    def flip(u: int) -> None:
+        """Flip matched/unmatched along the path from the exposed or
+        just-unmatched u through its parent back to the root."""
+        while u >= 0:
+            pv = parent[u]
+            ppv = mate[pv]
+            mate[u] = pv
+            mate[pv] = u
+            u = ppv
+
+    def flip_to_even(x: int) -> None:
+        """Expose the even node x and cover the root instead."""
+        u = mate[x]
+        mate[x] = -1
+        flip(u)
+
     def try_augment(root: int, touched: list[int]) -> bool:
         nonlocal stamp
         in_queue[root] = True
@@ -304,20 +352,19 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
                         if blossom_mark[base[i]] == stamp:
                             base[i] = lca_base
                             if not in_queue[i]:
+                                if is_optional[i]:
+                                    flip_to_even(i)
+                                    return True
                                 in_queue[i] = True
                                 queue.append(i)
                 elif parent[to] < 0:
                     parent[to] = v
                     touched.append(to)
                     if mate[to] < 0:
-                        # Augment: flip matched/unmatched along the path.
-                        u = to
-                        while u >= 0:
-                            pv = parent[u]
-                            ppv = mate[pv]
-                            mate[u] = pv
-                            mate[pv] = u
-                            u = ppv
+                        flip(to)
+                        return True
+                    if is_optional[mate[to]]:
+                        flip_to_even(mate[to])
                         return True
                     touched.append(mate[to])
                     in_queue[mate[to]] = True
@@ -325,7 +372,7 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
         return False
 
     for v in range(n):
-        if mate[v] < 0:
+        if mate[v] < 0 and not is_optional[v]:
             touched = [v]
             try_augment(v, touched)
             for i in touched:
@@ -336,13 +383,16 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
 
 
 def max_matching(instance: MatchingInstance) -> set[Edge]:
-    """Maximum-cardinality matching of a gadget instance as an edge set.
+    """Matching of a gadget instance, as an edge set, that covers as many
+    nodes other than soft singles as any matching can; on an even gadget,
+    a maximum-cardinality matching.
 
     The search starts from the core-first matching: the i-th hard core of
     every vertex is matched to that vertex's i-th port.  Hard cores are joined
     only to ports, and a vertex has at most as many hard cores as ports, so
     this is always a matching, and it covers every hard core before the
-    greedy and the augmenting-path searches finish the job.
+    greedy and the alternating-tree searches finish the job.  Soft singles
+    are the optional nodes of :func:`maximum_cardinality_matching`.
     """
     adj: list[list[int]] = [[] for _ in range(instance.n_nodes)]
     for u, v in instance.edges:
@@ -353,29 +403,35 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
         for c, p in zip(cores, ports):
             init[c] = p
             init[p] = c
-    mate = maximum_cardinality_matching(instance.n_nodes, adj, init)
+    optional = [s for singles in instance.singles for s in singles]
+    mate = maximum_cardinality_matching(instance.n_nodes, adj, init, optional)
     return {(v, mate[v]) for v in range(instance.n_nodes) if 0 <= v < mate[v]}
 
 
 def is_perfect(instance: MatchingInstance, matching: set[Edge]) -> bool:
-    return 2 * len(matching) == instance.n_nodes
+    """True iff the matching covers every gadget node but the soft singles:
+    a perfect matching of an even gadget."""
+    singles = {s for per_vertex in instance.singles for s in per_vertex}
+    covered = sum(1 for e in matching for x in e if x not in singles)
+    return covered == instance.n_nodes - len(singles)
 
 
-def _factor_from_b_factor(g: Graph, mg: MultiGraph, a: int, b: int,
-                          require_even: bool) -> Factor | None:
-    """Decide a b-factor of ``mg`` by perfect matching on its gadget.
+def _factor_from_gadget(g: Graph, mg: MultiGraph, a: int, b: int,
+                        require_even: bool) -> Factor | None:
+    """Decide a factor by matching on the gadget of ``mg``: the even gadget
+    for degree b when ``require_even``, else the parity-free one for [a, b].
 
-    ``mg`` carries g's edges under their own names.  The b-factor's edges
-    that are edges of g form the returned factor, which is re-verified
-    against [a, b] (and parity when requested).
+    ``mg`` carries g's edges under their own names, so the decoded edges form
+    the returned factor, which is re-verified against [a, b] (and parity when
+    requested).
     """
-    instance = tutte_gadget(mg, b)
+    instance = tutte_gadget(mg, b, None if require_even else a)
     matching = max_matching(instance)
     if not is_perfect(instance, matching):
         return None
     chosen = [info[1] for e in matching
               for info in (instance.decode.get(e),)
-              if info is not None and info[0] == "edge" and info[1] in g.edges]
+              if info is not None and info[0] == "edge"]
     factor = Factor.from_edges(g, chosen)
     if not verify_factor(g, factor, a, b, require_even):
         raise RuntimeError("internal error: decoded factor failed verification")
@@ -392,31 +448,22 @@ def find_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     _require_even_pair(a, b)
     if any(d < a for d in g.degrees):
         return None
-    return _factor_from_b_factor(g, loop_augment(g, a, b), a, b, require_even=True)
+    return _factor_from_gadget(g, loop_augment(g, a, b), a, b, require_even=True)
 
 
 def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
     """Decide and construct an [a,b]-factor of any parity; absence is exact.
 
-    G has an [a,b]-factor iff the doubled multigraph has a b-factor: G on
-    vertices 0..n-1, a twin copy G' on n..2n-1, and b-a parallel edges
-    between every v and its twin v+n.  A factor F of G copied into both
-    halves, plus b - d_F(v) <= b-a twin edges at each v, is a b-factor;
-    conversely at most b-a twin edges meet v, so the first copy's degrees lie
-    in [a, b].  Vertices of degree below a make the answer absent at once,
-    which keeps every doubled degree at least b as the gadget requires.
+    Pipeline: the parity-free gadget of G itself, with min(b, d) - a soft
+    singles per vertex that may stay exposed, then a matching covering as
+    many other nodes as possible, then decode.  G has an [a,b]-factor iff
+    that matching covers every port and hard core (Lovász 1970, "Subgraphs
+    with prescribed valencies"; Anstee 1985).  Any returned factor is
+    re-verified.  Vertices of degree below a make the answer absent at once.
     """
     if not (0 <= a <= b):
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     if any(d < a for d in g.degrees):
         return None
-    n = g.n
-    mult = {}
-    for u, v in g.sorted_edges():
-        mult[(u, v)] = 1
-        mult[(u + n, v + n)] = 1
-    if b > a:
-        for v in range(n):
-            mult[(v, v + n)] = b - a
-    return _factor_from_b_factor(g, MultiGraph(2 * n, mult, {}), a, b,
-                                 require_even=False)
+    return _factor_from_gadget(g, MultiGraph.from_graph(g), a, b,
+                               require_even=False)

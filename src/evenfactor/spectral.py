@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -98,10 +99,10 @@ def observation_decide(x: int, y: int, a: int, b: int) -> bool:
     return x >= a and Fraction(x) >= Fraction(a * n, a + b)
 
 
-def classify_threshold(value: float, threshold: float,
-                       guard: float = THRESHOLD_GUARD) -> str:
-    """Three-way comparison: 'above', 'below', or 'boundary' within the guard."""
-    if abs(value - threshold) <= guard:
+def classify_threshold(value: float, threshold: float) -> str:
+    """Three-way comparison: 'above', 'below', or 'boundary' within
+    ``THRESHOLD_GUARD``."""
+    if abs(value - threshold) <= THRESHOLD_GUARD:
         return "boundary"
     return "above" if value > threshold else "below"
 
@@ -110,10 +111,11 @@ def _cubic(n: int, a: int, x: float) -> float:
     return ((x - (n - 3)) * x - (a + n - 3)) * x - a * a + (a - 1) * n + 1
 
 
-def rho(n: int, a: int, tol: float = DEFAULT_ROOT_TOL) -> float:
+def rho(n: int, a: int) -> float:
     """Largest real root of x^3 - (n-3)x^2 - (a+n-3)x - a^2 + (a-1)n + 1.
 
-    Bisection on [n-3, n-1] with safeguarded widening of the bracket.
+    Bisection on [n-3, n-1] with safeguarded widening of the bracket, down to
+    a bracket width of ``DEFAULT_ROOT_TOL``.
     """
     if n < a + 1:
         raise ValueError(f"need n >= a+1, got n={n}, a={a}")
@@ -131,7 +133,7 @@ def rho(n: int, a: int, tol: float = DEFAULT_ROOT_TOL) -> float:
     if _cubic(n, a, lo) > 0 or _cubic(n, a, hi) < 0:
         raise RuntimeError(
             f"no sign change for the cubic on bracket [{lo}, {hi}] (n={n}, a={a})")
-    while hi - lo > tol:
+    while hi - lo > DEFAULT_ROOT_TOL:
         mid = (lo + hi) / 2
         if _cubic(n, a, mid) >= 0:
             hi = mid
@@ -197,7 +199,7 @@ def _examine(g: Graph, mask: int | None, a: int, b: int,
 
 
 def _sweep_chunk(n: int, a: int, b: int, rho_value: float,
-                 masks: list[int]) -> list[SweepRecord]:
+                 masks: range) -> list[SweepRecord]:
     pairs = _vertex_pairs(n)
     out = []
     for mask in masks:
@@ -222,6 +224,8 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     skipping graphs whose degree sequence is not already sorted (every
     isomorphism class keeps at least one representative); random mode needs an
     explicit seed and runs serially, so it rejects jobs other than 1.
+    Exhaustive mode takes 1 <= jobs <= os.cpu_count(), since the process pool
+    starts all its workers at once, and hands each worker a range of masks.
     """
     if not (1 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
@@ -230,7 +234,10 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
         if n > SWEEP_EXHAUSTIVE_CAP:
             raise ScaleError(
                 f"exhaustive sweep supports n <= {SWEEP_EXHAUSTIVE_CAP}, got n={n}")
-        masks = list(range(1 << (n * (n - 1) // 2)))
+        cpus = os.cpu_count() or 1
+        if not 1 <= jobs <= cpus:
+            raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
+        masks = range(1 << (n * (n - 1) // 2))
         if jobs > 1:
             chunk = max(1, len(masks) // (4 * jobs))
             chunks = [masks[i:i + chunk] for i in range(0, len(masks), chunk)]

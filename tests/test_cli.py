@@ -1,9 +1,11 @@
 import json
+import os
 import random
 
 import pytest
 
 import evenfactor as ef
+from evenfactor import spectral
 from evenfactor.cli import main
 from helpers import random_graph
 
@@ -88,6 +90,18 @@ def test_find_factor_parity_free_on_a_dense_graph(tmp_path, capsys):
     result = last_json(out)["result"]
     assert result["present"] is True
     assert all(2 <= d <= 3 for d in result["factor"]["degrees"])
+
+
+@pytest.mark.parametrize("even", [[], ["--even"]])
+def test_find_factor_reports_min_degree_below_a(tmp_path, capsys, even):
+    gpath = tmp_path / "star.edges"
+    gpath.write_text(ef.to_edge_list_text(ef.complete_bipartite(1, 3)))
+    code, out = run(capsys, "find-factor", "--graph", str(gpath),
+                    "--a", "2", "--b", "2", *even)
+    assert code == 1
+    result = last_json(out)["result"]
+    assert result["present"] is False
+    assert result["reason"] == "min degree below a"
 
 
 @pytest.mark.parametrize("content", ['{"edges": 5}', '{"edges": [[0, "x"]]}',
@@ -234,6 +248,21 @@ def test_sweep_random_with_jobs_is_usage_error(capsys):
     payload = last_json(out)
     assert payload["kind"] == "usage"
     assert "jobs must be 1" in payload["error"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "cpus+1"])
+def test_sweep_jobs_outside_the_cpu_count_is_usage_error(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no process pool may start")
+    monkeypatch.setattr(spectral, "ProcessPoolExecutor", no_pool)
+    if jobs == "cpus+1":
+        jobs = str((os.cpu_count() or 1) + 1)
+    code, out = run(capsys, "sweep", "--n", "5", "--a", "2", "--b", "2",
+                    "--exhaustive", "--jobs", jobs)
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage"
+    assert "jobs must be between 1 and the CPU count" in payload["error"]
 
 
 def test_repro_single_claim(capsys):

@@ -132,41 +132,48 @@ def test_gadget_size_follows_the_formula_on_random_graphs():
         for v, (d, cores, pairs) in enumerate(per_vertex):
             assert len(inst.ports[v]) == d
             assert len(inst.cores[v]) == cores
+            assert inst.singles[v] == ()
             assert list(inst.decode.values()).count(("unused_loop", v)) == pairs
         assert len(set(inst.edges)) == len(inst.edges)
         assert all(0 <= u < v < inst.n_nodes for u, v in inst.edges)
     assert below_b >= 200
 
 
-def test_loop_free_gadget_has_d_minus_b_cores():
-    # find_ab_factor's doubled graph: G, a twin copy, b-a parallel twin edges
+def test_parity_free_gadget_size_follows_the_formula():
+    # find_ab_factor's gadget of G itself: d ports, d - min(b, d) hard cores
+    # and min(b, d) - a soft singles per vertex
     rng = random.Random(41)
-    for _ in range(40):
-        a, b = rng.choice([(0, 1), (1, 3), (2, 2), (2, 5), (3, 4)])
+    checked = 0
+    while checked < 200:
+        a, b = rng.choice([(0, 1), (1, 3), (2, 2), (2, 5), (3, 4), (1, 4), (2, 6)])
         g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.3, 1.0))
         if min(g.degrees) < a:
             continue
-        n = g.n
-        mult = {}
-        for u, v in g.sorted_edges():
-            mult[(u, v)] = mult[(u + n, v + n)] = 1
-        if b > a:
-            for v in range(n):
-                mult[(v, v + n)] = b - a
-        mg = ef.MultiGraph(2 * n, mult, {})
-        inst = ef.tutte_gadget(mg, b)
-        degs = mg.degrees
-        assert inst.n_nodes == sum(degs) + sum(d - b for d in degs)
-        assert len(inst.edges) == sum(mult.values()) + sum(d * (d - b) for d in degs)
-        assert [len(p) for p in inst.ports] == list(degs)
-        assert [len(c) for c in inst.cores] == [d - b for d in degs]
-        assert sorted(inst.decode.values()) == sorted(
-            ("edge", e) for e, k in mult.items() for _ in range(k))
+        checked += 1
+        inst = ef.tutte_gadget(ef.MultiGraph.from_graph(g), b, a)
+        tops = [min(b, d) for d in g.degrees]
+        assert [len(p) for p in inst.ports] == list(g.degrees)
+        assert [len(c) for c in inst.cores] == [d - t for d, t in zip(g.degrees, tops)]
+        assert [len(s) for s in inst.singles] == [t - a for t in tops]
+        assert inst.n_nodes == sum(d + (d - t) + (t - a)
+                                   for d, t in zip(g.degrees, tops))
+        assert len(inst.edges) == g.m + sum(d * (d - t) + d * (t - a)
+                                            for d, t in zip(g.degrees, tops))
+        assert sorted(inst.decode.values()) == [("edge", e) for e in g.sorted_edges()]
+        assert len(set(inst.edges)) == len(inst.edges)
+        assert all(0 <= u < v < inst.n_nodes for u, v in inst.edges)
+
+
+def test_parity_free_gadget_rejects_loops():
+    with pytest.raises(ValueError, match="loop-free"):
+        ef.tutte_gadget(ef.loop_augment(C4, 2, 4), 4, 2)
 
 
 def test_gadget_names_deficient_vertex():
     with pytest.raises(ValueError, match="vertex 1"):
         ef.tutte_gadget(ef.MultiGraph.from_graph(STAR), 2)
+    with pytest.raises(ValueError, match="vertex 1"):
+        ef.tutte_gadget(ef.MultiGraph.from_graph(STAR), 3, 2)
 
 
 def test_gadget_node_count_even_for_even_targets():
@@ -309,6 +316,34 @@ def test_warm_started_gadget_matching_agrees_with_networkx():
         assert all(c in covered for cores in inst.cores for c in cores)
 
 
+def _networkx_required_cover(n, edges, optional):
+    """Most required nodes any matching covers: a maximum-weight matching
+    where each edge weighs its number of required endpoints."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_weighted_edges_from(
+        (u, v, (u not in optional) + (v not in optional)) for u, v in edges)
+    matching = nx.max_weight_matching(g)
+    return sum(v not in optional for e in matching for v in e)
+
+
+def test_matching_with_optional_nodes_covers_the_most_required_nodes():
+    rng = random.Random(42)
+    for _ in range(3000):
+        n = rng.randint(2, 24)
+        g = random_graph(rng, n, rng.choice([1.5 / n, 3.0 / n, 0.2, 0.4, 0.8]))
+        optional = {v for v in range(n) if rng.random() < rng.choice([0.2, 0.5, 0.8])}
+        adj = [list(g.neighbors(v)) for v in range(n)]
+        mate = ef.maximum_cardinality_matching(n, adj, optional=optional)
+        _assert_valid_mate(mate, adj)
+        covered = sum(1 for v in range(n) if mate[v] >= 0 and v not in optional)
+        assert covered == _networkx_required_cover(n, g.sorted_edges(), optional)
+        mate = ef.maximum_cardinality_matching(n, adj, optional=())
+        _assert_valid_mate(mate, adj)
+        size = sum(1 for v in range(n) if mate[v] >= 0) // 2
+        assert size == _networkx_matching_size(n, g.sorted_edges())
+
+
 def test_matching_init_is_extended_to_a_maximum_matching():
     adj = [list(PETERSEN.neighbors(v)) for v in range(10)]
     init = [-1] * 10
@@ -408,10 +443,19 @@ def test_find_ab_factor_on_a_dense_graph_does_not_recurse():
     assert ef.verify_factor(g, factor, 2, 3, require_even=False)
 
 
+def test_find_ab_factor_needs_an_even_soft_single_to_end_a_search():
+    # No augmenting path covers every port here; a search must end at a
+    # matched soft single that becomes even and leave that single exposed.
+    g = ef.build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)])
+    factor = ef.find_ab_factor(g, 2, 3)
+    assert factor is not None
+    assert ef.verify_factor(g, factor, 2, 3, require_even=False)
+
+
 def test_find_ab_factor_agrees_with_backtracking_search():
     rng = random.Random(38)
     pairs = [(0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3),
-             (2, 5), (3, 3), (3, 4)]
+             (2, 5), (3, 3), (3, 4), (1, 4), (2, 6)]
     present = 0
     for _ in range(3000):
         g = random_graph_edge_capped(rng, rng.randint(1, 9), rng.random(), 24)

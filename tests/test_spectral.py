@@ -1,10 +1,13 @@
 import math
+import os
 import random
+import tracemalloc
 
 import pytest
 import sympy
 
 import evenfactor as ef
+from evenfactor import spectral
 from helpers import random_graph
 
 
@@ -208,6 +211,31 @@ def test_sweep_parallel_matches_serial():
     serial = ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=1)
     parallel = ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=2)
     assert serial == parallel
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("no process pool may start")
+
+
+@pytest.mark.parametrize("jobs", [0, -1, "cpus+1"])
+def test_sweep_jobs_outside_the_cpu_count_are_rejected(monkeypatch, jobs):
+    monkeypatch.setattr(spectral, "ProcessPoolExecutor", _no_pool)
+    if jobs == "cpus+1":
+        jobs = (os.cpu_count() or 1) + 1
+    with pytest.raises(ValueError, match="jobs must be between 1 and the CPU count"):
+        ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=jobs)
+
+
+def test_sweep_exhaustive_memory_stays_small():
+    # The masks stay a range: a list of all 2^15 masks at n = 6 alone peaks
+    # above 1 MB (and at 2^28 ints, about 10 GB, at n = 8).
+    tracemalloc.start()
+    try:
+        ef.conjecture_sweep(6, 2, 4, source="exhaustive")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_sweep_exhaustive_cap():
