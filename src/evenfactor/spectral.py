@@ -114,25 +114,24 @@ def _cubic(n: int, a: int, x: float) -> float:
 def rho(n: int, a: int) -> float:
     """Largest real root of x^3 - (n-3)x^2 - (a+n-3)x - a^2 + (a-1)n + 1.
 
-    Bisection on [n-3, n-1] with safeguarded widening of the bracket, down to
-    a bracket width of ``DEFAULT_ROOT_TOL``.
+    All three roots are real: for a >= 2 they are eigenvalues of
+    ``h_na(n, a)`` (its quotient over vertex 0, the neighbours of 0 and the
+    rest), and for a = 1 the cubic is x(x+1)(x-n+2).  So the cubic is not
+    positive at its larger critical point c, nor at n-3, where it equals
+    -n^2 + 5n - 8 + 3a - a^2.  It increases right of c and equals
+    n(n-1) - a(a-1) > 0 at n-1, so bisection on [max(n-3, c), n-1] finds the
+    largest root to a bracket width of ``DEFAULT_ROOT_TOL``.  A left end where
+    the cubic vanishes is that root: at n=2, a=1 the cubic is x^2(x+1), and
+    its largest root is the double root 0 = c.
     """
     if n < a + 1:
         raise ValueError(f"need n >= a+1, got n={n}, a={a}")
     if (a * n) % 2:
         raise ValueError(f"need a*n even, got a={a}, n={n}")
-    lo, hi = float(n - 3), float(n - 1)
-    for _ in range(64):
-        if _cubic(n, a, lo) <= 0:
-            break
-        lo -= 1.0
-    for _ in range(64):
-        if _cubic(n, a, hi) >= 0:
-            break
-        hi += 1.0
-    if _cubic(n, a, lo) > 0 or _cubic(n, a, hi) < 0:
-        raise RuntimeError(
-            f"no sign change for the cubic on bracket [{lo}, {hi}] (n={n}, a={a})")
+    c = ((n - 3) + math.sqrt((n - 3) ** 2 + 3 * (a + n - 3))) / 3
+    lo, hi = max(float(n - 3), c), float(n - 1)
+    if _cubic(n, a, lo) >= 0:
+        return lo
     while hi - lo > DEFAULT_ROOT_TOL:
         mid = (lo + hi) / 2
         if _cubic(n, a, mid) >= 0:
@@ -178,9 +177,31 @@ def graph_from_mask(n: int, mask: int, pairs: list[Edge] | None = None) -> Graph
     return build_graph(n, edges)
 
 
-def _degree_sorted(g: Graph) -> bool:
-    degs = g.degrees
-    return all(degs[i] >= degs[i + 1] for i in range(g.n - 1))
+def _min_edges(rho_value: float) -> int:
+    """Fewest edges a graph needs to be classified other than 'below' rho.
+
+    By Stanley's bound (Linear Algebra Appl. 87, 1987) a graph with m edges
+    has lambda1 <= (-1 + sqrt(1 + 8m)) / 2.  For fewer edges than returned,
+    that bound is below ``rho_value - 2 * THRESHOLD_GUARD``: twice the guard,
+    so that rounding in the eigensolve cannot lift lambda1 into the boundary
+    band.
+    """
+    m = 0
+    while (math.sqrt(1 + 8 * m) - 1) / 2 < rho_value - 2 * THRESHOLD_GUARD:
+        m += 1
+    return m
+
+
+def _degrees_non_increasing(mask: int, inc: list[int]) -> bool:
+    """Whether vertex v's degree, ``(mask & inc[v]).bit_count()`` with
+    ``inc[v]`` the bits of the pairs at v, never increases with v."""
+    prev = len(inc)
+    for bits in inc:
+        deg = (mask & bits).bit_count()
+        if deg > prev:
+            return False
+        prev = deg
+    return True
 
 
 def _examine(g: Graph, mask: int | None, a: int, b: int,
@@ -201,12 +222,13 @@ def _examine(g: Graph, mask: int | None, a: int, b: int,
 def _sweep_chunk(n: int, a: int, b: int, rho_value: float,
                  masks: range) -> list[SweepRecord]:
     pairs = _vertex_pairs(n)
+    inc = [sum(1 << i for i, e in enumerate(pairs) if v in e) for v in range(n)]
+    min_edges = _min_edges(rho_value)
     out = []
     for mask in masks:
-        g = graph_from_mask(n, mask, pairs)
-        if not _degree_sorted(g):
+        if mask.bit_count() < min_edges or not _degrees_non_increasing(mask, inc):
             continue
-        rec = _examine(g, mask, a, b, rho_value)
+        rec = _examine(graph_from_mask(n, mask, pairs), mask, a, b, rho_value)
         if rec is not None:
             out.append(rec)
     return out
@@ -220,12 +242,27 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     Every such candidate gets an [a,b]-factor verdict; an 'absent' record is a
     counterexample candidate to the eigenvalue conjecture and is kept in full.
     Graphs within the guard band of rho are recorded as boundary, never
-    classified.  Exhaustive mode enumerates upper-triangular edge bitmasks,
-    skipping graphs whose degree sequence is not already sorted (every
-    isomorphism class keeps at least one representative); random mode needs an
-    explicit seed and runs serially, so it rejects jobs other than 1.
-    Exhaustive mode takes 1 <= jobs <= os.cpu_count(), since the process pool
-    starts all its workers at once, and hands each worker a range of masks.
+    classified.
+
+    Exhaustive mode walks the upper-triangular edge bitmasks in increasing
+    order and decides each mask on the integer before building a graph:
+
+    1. Edge count.  By Stanley's bound, a graph with m edges has
+       lambda1 <= (-1 + sqrt(1 + 8m)) / 2.  A mask with fewer set bits than
+       the least m whose bound reaches rho - 2 * ``THRESHOLD_GUARD`` would be
+       classified 'below', so it is skipped.
+    2. Degree order.  Vertex v's degree is the popcount of the mask and the
+       bits of the pairs at v; a mask whose degrees increase somewhere is
+       skipped, and every isomorphism class keeps its representatives with
+       non-increasing degrees.
+
+    Only the masks that pass both are built, eigensolved and, above rho,
+    given a verdict, so the records equal those of building every
+    degree-sorted graph.  Exhaustive mode takes 1 <= jobs <= os.cpu_count(),
+    since the process pool starts all its workers at once, and hands each
+    worker a range of masks.  Random mode needs an explicit seed, skips
+    masks by the same edge count, and runs serially, so it rejects jobs
+    other than 1.
     """
     if not (1 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
@@ -255,11 +292,13 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
             raise ValueError(f"random sweep runs serially; jobs must be 1, got {jobs}")
         rng = random.Random(seed)
         pairs = _vertex_pairs(n)
+        min_edges = _min_edges(rho_value)
         records = []
         for _ in range(count):
             mask = rng.getrandbits(len(pairs))
-            g = graph_from_mask(n, mask, pairs)
-            rec = _examine(g, mask, a, b, rho_value)
+            if mask.bit_count() < min_edges:
+                continue
+            rec = _examine(graph_from_mask(n, mask, pairs), mask, a, b, rho_value)
             if rec is not None:
                 records.append(rec)
         return records

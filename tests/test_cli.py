@@ -235,6 +235,19 @@ def test_sweep_streams_records_then_summary(capsys):
         [ln for ln in lines[:-1] if ln["classification"] == "candidate"])
 
 
+def test_sweep_of_the_empty_graph_at_its_tangent_rho_is_boundary(capsys):
+    # rho(2, 1) = 0 = lambda1 of the edgeless graph on two vertices
+    code, out = run(capsys, "sweep", "--n", "2", "--a", "1", "--b", "1",
+                    "--exhaustive")
+    assert code == 0
+    lines = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert [(ln["mask"], ln["classification"], ln["verdict"]) for ln in lines[:-1]] == [
+        (0, "boundary", None), (1, "candidate", "present")]
+    assert lines[-1]["result"]["summary"] == {
+        "records": 2, "candidates": 1, "boundary": 1, "present": 1, "absent": 0,
+        "budget_exhausted": 0}
+
+
 def test_sweep_random_without_seed_is_usage_error(capsys):
     code, out = run(capsys, "sweep", "--n", "5", "--a", "2", "--b", "2",
                     "--random", "--count", "5")

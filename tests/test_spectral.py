@@ -5,6 +5,8 @@ import tracemalloc
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evenfactor as ef
 from evenfactor import spectral
@@ -160,12 +162,66 @@ def test_rho_validates_input():
         ef.rho(4, 4)
 
 
+def test_rho_tangent_case_is_the_double_root():
+    # the cubic is x^2(x+1): no sign change at its largest root 0
+    assert ef.rho(2, 1) == 0
+
+
+def test_rho_is_the_largest_real_root_of_the_cubic():
+    x = sympy.Symbol("x")
+    for n in range(2, 21):
+        for a in range(1, n):
+            if (a * n) % 2:
+                continue
+            cubic = x**3 - (n - 3) * x**2 - (a + n - 3) * x - a * a + (a - 1) * n + 1
+            root = max(sympy.Poly(cubic, x).real_roots())
+            assert ef.rho(n, a) == pytest.approx(float(root), abs=1e-9), (n, a)
+
+
 def test_rho_matches_lambda1_spot_checks():
     for n, a in [(6, 2), (8, 4), (10, 5), (12, 7)]:
         assert abs(ef.lambda1(ef.h_na(n, a)).lambda1 - ef.rho(n, a)) <= 1e-8
 
 
 # ------------------------------------------------------------------- sweeps
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return ef.build_graph(n, [e for e in pairs if draw(st.booleans())])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_lambda1_obeys_the_edge_count_bound(g):
+    # Stanley's bound, which lets the sweep skip masks with too few edges
+    assert ef.lambda1(g).lambda1 <= (-1 + math.sqrt(1 + 8 * g.m)) / 2 + 1e-12
+
+
+def _naive_sweep(n, a, b):
+    """Every mask built as a Graph, kept when its degrees are sorted."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    records = []
+    for mask in range(1 << len(pairs)):
+        g = ef.build_graph(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
+        degs = g.degrees
+        if any(degs[i] < degs[i + 1] for i in range(n - 1)):
+            continue
+        rec = spectral._examine(g, mask, a, b, ef.rho(n, a))
+        if rec is not None:
+            records.append(rec)
+    return records
+
+
+def test_sweep_equals_the_naive_funnel():
+    for n in range(2, 7):
+        for a in range(1, n):
+            if (a * n) % 2:
+                continue
+            for b in range(a, n):
+                assert ef.conjecture_sweep(n, a, b) == _naive_sweep(n, a, b), (n, a, b)
+
 
 def test_sweep_exhaustive_small_clean():
     records = ef.conjecture_sweep(4, 2, 2, source="exhaustive")
@@ -211,6 +267,8 @@ def test_sweep_parallel_matches_serial():
     serial = ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=1)
     parallel = ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=2)
     assert serial == parallel
+    assert (ef.conjecture_sweep(6, 2, 4, source="exhaustive", jobs=2)
+            == ef.conjecture_sweep(6, 2, 4, source="exhaustive", jobs=1))
 
 
 def _no_pool(*args, **kwargs):
