@@ -67,59 +67,48 @@ def claim_parity_invariance() -> ClaimRow:
         violations == 0)
 
 
-def claim_edge_connectivity_gap() -> ClaimRow:
-    """The bridged-cliques family: all degree-sum conditions hold, edge
-    connectivity is a-1, and no even [a,b]-factor exists."""
-    a, b, t = 4, 12, 9
-    g = example1(a, b, t)
-    _, delta, _ = degree_profile(g)
-    kappa_e = edge_connectivity(g)
-    s2 = sigma2(g)
+def _connectivity_gap(kind: str, connectivity, family, a: int, b: int, t: int,
+                      delta: int, s2: int) -> ClaimRow:
+    """``family(a, b, t)`` meets every degree condition with minimum degree
+    ``delta`` and sigma2 ``s2``, has ``kind`` connectivity a-1, and has no even
+    [a,b]-factor."""
+    g = family(a, b, t)
+    _, min_degree, _ = degree_profile(g)
+    kappa = connectivity(g)
+    sig = sigma2(g)
     conds = conjecture_conditions(g, a, b)
     factor = find_even_factor(g, a, b)
     observed = {
         "n": g.n, "m": g.m,
-        "edge_connectivity": kappa_e, "min_degree": delta, "sigma2": s2,
+        f"{kind}_connectivity": kappa, "min_degree": min_degree, "sigma2": sig,
         "order_threshold": str(order_threshold(a, b)),
         "conditions_hold": conds.overall,
         "factor_present": factor is not None,
     }
-    passed = (kappa_e == a - 1 and delta == a and s2 == a + t - 1
+    passed = (kappa == a - 1 and min_degree == delta and sig == s2
               and g.n >= order_threshold(a, b)
-              and s2 >= Fraction(2 * a * g.n, a + b)
+              and sig >= Fraction(2 * a * g.n, a + b)
               and conds.overall and factor is None)
     return ClaimRow(
-        "edge-connectivity-gap",
-        "family with edge connectivity a-1 satisfying every degree condition "
+        f"{kind}-connectivity-gap",
+        f"family with {kind} connectivity a-1 satisfying every degree condition "
         "yet lacking an even [a,b]-factor",
         {"a": a, "b": b, "t": t}, observed, passed)
+
+
+def claim_edge_connectivity_gap() -> ClaimRow:
+    """The bridged-cliques family: all degree-sum conditions hold, edge
+    connectivity is a-1, and no even [a,b]-factor exists."""
+    a, b, t = 4, 12, 9
+    return _connectivity_gap("edge", edge_connectivity, example1, a, b, t,
+                             delta=a, s2=a + t - 1)
 
 
 def claim_vertex_connectivity_gap() -> ClaimRow:
     """The hub-cliques family: same sharpness story for vertex connectivity."""
     a, b, t = 4, 24, 6
-    g = example2(a, b, t)
-    _, delta, _ = degree_profile(g)
-    kappa = vertex_connectivity(g)
-    s2 = sigma2(g)
-    conds = conjecture_conditions(g, a, b)
-    factor = find_even_factor(g, a, b)
-    observed = {
-        "n": g.n, "m": g.m,
-        "vertex_connectivity": kappa, "min_degree": delta, "sigma2": s2,
-        "order_threshold": str(order_threshold(a, b)),
-        "conditions_hold": conds.overall,
-        "factor_present": factor is not None,
-    }
-    passed = (kappa == a - 1 and delta == a + 1 and s2 == 2 * (a + 1)
-              and g.n >= order_threshold(a, b)
-              and s2 >= Fraction(2 * a * g.n, a + b)
-              and conds.overall and factor is None)
-    return ClaimRow(
-        "vertex-connectivity-gap",
-        "family with vertex connectivity a-1 satisfying every degree condition "
-        "yet lacking an even [a,b]-factor",
-        {"a": a, "b": b, "t": t}, observed, passed)
+    return _connectivity_gap("vertex", vertex_connectivity, example2, a, b, t,
+                             delta=a + 1, s2=2 * (a + 1))
 
 
 def claim_quadratic_sign_grid() -> ClaimRow:

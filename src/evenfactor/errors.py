@@ -2,4 +2,4 @@
 
 
 class ScaleError(RuntimeError):
-    """An exhaustive enumeration was requested beyond its configured cap."""
+    """A request went beyond one of the configured scale caps."""

@@ -2,7 +2,8 @@
 
 Vertices are dense integer ids 0..n-1.  Graph values are immutable after
 construction and safe to share across workers; every operation here is a pure
-function of its inputs.
+function of its inputs.  Edge and vertex connectivity each build one
+unit-capacity flow network per call and share one min-cut loop.
 """
 
 from __future__ import annotations
@@ -288,57 +289,58 @@ def _edge_flow_network(g: Graph) -> _Dinic:
     return net
 
 
-def _edge_flow_value(g: Graph, s: int, t: int) -> int:
-    return _edge_flow_network(g).max_flow(s, t)
+def _min_cut(g: Graph, net: _Dinic,
+             sources: Iterable[tuple[int, Iterable[int]]]) -> int:
+    """Smallest max-flow on ``net``, a unit-capacity network of ``g``, from
+    each source node to each of its targets; 0 if g is disconnected.
+
+    ``best`` starts at the minimum degree, which bounds both connectivities.
+    Each flow starts from the unit capacities and stops at ``best``.  Source
+    i (0-based) runs only while i < ``best`` (Even's scheme); on a connected
+    graph a cut of 1 is final.
+    """
+    if not is_connected(g):
+        return 0
+    best = min(g.degrees)
+    unit = list(net.cap)
+    for i, (s, targets) in enumerate(sources):
+        if i >= best:
+            break
+        for t in targets:
+            net.cap[:] = unit
+            best = min(best, net.max_flow(s, t, best))
+            if best == 1:
+                return best
+    return best
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut, via unit-capacity max-flow from vertex 0.
-
-    One network serves every target: its capacities are reset before each
-    flow, and a flow stops once it reaches the smallest cut found so far.  A
-    connected graph has edge connectivity at least 1, so the first flow of
-    value 1 ends the search (on a tree, after one max-flow).
-    """
+    """Global minimum edge cut: the smallest max-flow from vertex 0 to any
+    other vertex, all on one network."""
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
-    if not is_connected(g):
-        return 0
-    net = _edge_flow_network(g)
-    unit = list(net.cap)
-    best = g.n
-    for v in range(1, g.n):
-        net.cap[:] = unit
-        best = min(best, net.max_flow(0, v, best))
-        if best == 1:
-            break
-    return best
-
-
-def _vertex_flow_value(g: Graph, s: int, t: int) -> int:
-    # Split v into v_in=2v, v_out=2v+1 with capacity 1 (unbounded at s, t).
-    big = g.n
-    net = _Dinic(2 * g.n)
-    for v in range(g.n):
-        net.add_edge(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for u, v in g.edges:
-        net.add_edge(2 * u + 1, 2 * v, big)
-        net.add_edge(2 * v + 1, 2 * u, big)
-    return net.max_flow(2 * s + 1, 2 * t)
+    return _min_cut(g, _edge_flow_network(g), [(0, range(1, g.n))])
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Minimum vertex cut; n-1 for complete graphs by convention."""
+    """Minimum vertex cut; n-1 for complete graphs by convention.
+
+    The split network has v_in = 2v and v_out = 2v+1 joined by a unit edge,
+    and unit edges u_out -> v_in and v_out -> u_in for each edge uv; a flow
+    runs from s_out to t_in.  Source i runs against every later non-adjacent
+    vertex (Even, SIAM J. Comput. 4, 1975): the first vertex outside a
+    minimum cut C has index at most kappa, and another component of G - C
+    lies at later indices.
+    """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    if g.is_complete():
-        return g.n - 1
-    if not is_connected(g):
-        return 0
-    best = g.n - 1
-    for u in range(g.n):
-        adj = g.adjacency[u]
-        for v in range(u + 1, g.n):
-            if v not in adj:
-                best = min(best, _vertex_flow_value(g, u, v))
-    return best
+    net = _Dinic(2 * g.n)
+    for v in range(g.n):
+        net.add_edge(2 * v, 2 * v + 1, 1)
+    for u, v in g.edges:
+        net.add_edge(2 * u + 1, 2 * v, 1)
+        net.add_edge(2 * v + 1, 2 * u, 1)
+    adj = g.adjacency
+    sources = ((2 * i + 1, (2 * j for j in range(i + 1, g.n) if j not in adj[i]))
+               for i in range(g.n))
+    return _min_cut(g, net, sources)

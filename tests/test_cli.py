@@ -263,6 +263,14 @@ def test_sweep_random_with_jobs_is_usage_error(capsys):
     assert "jobs must be 1" in payload["error"]
 
 
+def test_sweep_random_above_its_cap_is_a_scale_error(capsys):
+    code, out = run(capsys, "sweep", "--n", str(spectral.SWEEP_RANDOM_CAP + 1),
+                    "--a", "2", "--b", "4", "--random", "--count", "1",
+                    "--seed", "1")
+    assert code == 3
+    assert last_json(out)["kind"] == "scale"
+
+
 @pytest.mark.parametrize("jobs", ["0", "cpus+1"])
 def test_sweep_jobs_outside_the_cpu_count_is_usage_error(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):

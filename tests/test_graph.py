@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import networkx as nx
 import pytest
 
 import evenfactor as ef
-from evenfactor.graph import _edge_flow_value
+from evenfactor.graph import _edge_flow_network
 from helpers import random_graph
 
 
@@ -138,8 +139,8 @@ def test_edge_connectivity_on_a_long_path_does_not_recurse():
 def test_max_flow_along_a_long_path_does_not_recurse():
     # edge_connectivity stops at its first unit flow, so the long path test
     # above no longer sends flow along 3000 vertices; this one does.
-    assert _edge_flow_value(ef.path_graph(3000), 0, 2999) == 1
-    assert _edge_flow_value(ef.cycle_graph(3000), 0, 1500) == 2
+    assert _edge_flow_network(ef.path_graph(3000)).max_flow(0, 2999) == 1
+    assert _edge_flow_network(ef.cycle_graph(3000)).max_flow(0, 1500) == 2
 
 
 def test_connectivity_agrees_with_networkx():
@@ -172,6 +173,52 @@ def test_edge_connectivity_agrees_with_networkx_on_larger_graphs():
         value = ef.edge_connectivity(g)
         assert value == nx.edge_connectivity(h)
         values.add(value)
+    assert {0, 1, 2} <= values and max(values) >= 5
+
+
+def _two_cut_graph(rng: random.Random, n: int, cut: tuple[int, int]) -> ef.Graph:
+    """Two dense random sides that meet only through the vertices of ``cut``."""
+    rest = [v for v in range(n) if v not in cut]
+    rng.shuffle(rest)
+    k = rng.randint(3, len(rest) - 3)
+    side = {v: i < k for i, v in enumerate(rest)}
+    edges = [(u, v) for u, v in itertools.combinations(rest, 2)
+             if side[u] == side[v] and rng.random() < 0.7]
+    edges += [(c, v) for c in cut for v in rest if rng.random() < 0.7]
+    return ef.build_graph(n, edges)
+
+
+def test_vertex_connectivity_agrees_with_networkx_on_larger_graphs():
+    # a two-vertex cut at the highest indices is found by a late target, and
+    # one at vertices 0 and 1 needs a source from vertex 2 on, so both Even's
+    # source bound and the capacity reset between flows are exercised
+    rng = random.Random(43)
+    graphs = []
+    for _ in range(16):
+        graphs.append(random_graph(rng, rng.randint(15, 45),
+                                   rng.choice([0.1, 0.2, 0.4, 0.8])))
+    for _ in range(4):
+        n = rng.randint(15, 45)
+        graphs.append(_two_cut_graph(rng, n, (n - 2, n - 1)))
+        graphs.append(_two_cut_graph(rng, rng.randint(15, 45), (0, 1)))
+    for n in (15, 31):
+        # two random halves with no edge between them
+        k = n // 2
+        right = random_graph(rng, n - k, 0.6).edges
+        graphs.append(ef.build_graph(n, sorted(random_graph(rng, k, 0.6).edges)
+                                     + [(u + k, v + k) for u, v in right]))
+    graphs += [ef.complete_graph(15), ef.complete_graph(24),
+               ef.complete_bipartite(7, 12), ef.complete_bipartite(20, 25)]
+    values = set()
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.sorted_edges())
+        value = ef.vertex_connectivity(g)
+        assert value == nx.node_connectivity(h)
+        values.add(value)
+    assert ef.vertex_connectivity(ef.complete_bipartite(7, 12)) == 7
+    assert ef.vertex_connectivity(ef.complete_graph(24)) == 23
     assert {0, 1, 2} <= values and max(values) >= 5
 
 

@@ -301,6 +301,20 @@ def test_sweep_exhaustive_cap():
         ef.conjecture_sweep(9, 2, 2, source="exhaustive")
 
 
+def test_sweep_random_cap_refuses_before_building_anything():
+    # one more vertex than the cap: the pair list alone would hold about
+    # 500k tuples, so a refusal that allocates almost nothing came first
+    n = spectral.SWEEP_RANDOM_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ef.ScaleError, match=f"n <= {spectral.SWEEP_RANDOM_CAP}"):
+            ef.conjecture_sweep(n, 2, 4, source="random", seed=1, count=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+
+
 def test_sweep_record_serialization():
     records = ef.conjecture_sweep(4, 2, 2, source="exhaustive")
     payload = records[0].to_json()
