@@ -3,10 +3,11 @@
 Exit codes: 0 = decided/constructed affirmatively; 1 = the decision is
 "absent"/"fails" (a successful run, distinguished for scripting); 2 = usage
 error, malformed or unknown options included; 3 = scale cap hit; 4 = internal
-error, such as a found factor failing its re-verification.  Output is JSON on
-stdout with a full parameter echo, and every failure is a JSON object with
-``error`` and ``kind``; reruns are byte-identical except for the timestamp
-field.  Only ``--help`` prints plain text.
+error: any other exception, such as a found factor failing its
+re-verification or a bug.  Output is JSON on stdout with a full parameter
+echo, and every failure is a JSON object with ``error`` and ``kind``, never a
+traceback; reruns are byte-identical except for the timestamp field.  Only
+``--help`` prints plain text.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import ScaleError
 from .formats import from_edge_list_text, to_dot, to_edge_list_text
 from .graph import Graph, degree_profile, sigma2, edge_connectivity, \
     vertex_connectivity
-from .criteria import EXHAUSTIVE_VERTEX_CAP, criterion_decide, \
-    main_theorem_conditions, conjecture_conditions
+from .criteria import criterion_decide, main_theorem_conditions, \
+    conjecture_conditions
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import Factor, find_ab_factor, find_even_factor, verify_factor
 from .spectral import conjecture_sweep, lambda1, sweep_summary
@@ -101,11 +102,11 @@ def _cmd_check_conditions(ns) -> int:
 
 def _cmd_criterion(ns) -> int:
     g = _load_graph(ns.graph)
-    holds, witness = criterion_decide(g, ns.a, ns.b, max_n=ns.max_n)
+    holds, witness = criterion_decide(g, ns.a, ns.b)
     result = {"holds": holds,
               "witness": witness.to_json() if witness else None}
     _emit(_envelope("criterion",
-                    {"graph": ns.graph, "a": ns.a, "b": ns.b, "max_n": ns.max_n},
+                    {"graph": ns.graph, "a": ns.a, "b": ns.b},
                     result))
     return EXIT_OK if holds else EXIT_NEGATIVE
 
@@ -172,17 +173,16 @@ def _cmd_sweep(ns) -> int:
         if ns.seed is None or ns.count is None:
             raise ValueError("--random requires --seed and --count")
         records = conjecture_sweep(ns.n, ns.a, ns.b, source="random",
-                                   seed=ns.seed, count=ns.count, jobs=ns.jobs)
+                                   seed=ns.seed, count=ns.count)
         source = {"mode": "random", "seed": ns.seed, "count": ns.count}
     else:
-        records = conjecture_sweep(ns.n, ns.a, ns.b, source="exhaustive",
-                                   jobs=ns.jobs)
+        records = conjecture_sweep(ns.n, ns.a, ns.b, source="exhaustive")
         source = {"mode": "exhaustive"}
     for rec in records:
         _emit(rec.to_json(), compact=True)
     summary = sweep_summary(records)
     _emit(_envelope("sweep",
-                    {"n": ns.n, "a": ns.a, "b": ns.b, "jobs": ns.jobs} | source,
+                    {"n": ns.n, "a": ns.a, "b": ns.b} | source,
                     {"summary": summary}), compact=True)
     return EXIT_NEGATIVE if summary["absent"] else EXIT_OK
 
@@ -233,9 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--max-n", type=int, default=EXHAUSTIVE_VERTEX_CAP,
-                   dest="max_n", help="lower the vertex cap (may not exceed "
-                   f"{EXHAUSTIVE_VERTEX_CAP})")
     p.set_defaults(func=_cmd_criterion)
 
     p = sub.add_parser("find-factor", help="search for an [a,b]-factor")
@@ -266,13 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--random", action="store_true")
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("repro", help="run the reproducible claim checks")
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--all", action="store_true", default=True)
-    grp.add_argument("--claim", help="run a single claim by id")
+    p.add_argument("--claim", help="run a single claim by id (default: all)")
     p.set_defaults(func=_cmd_repro)
 
     return parser
@@ -285,12 +279,12 @@ def main(argv: list[str] | None = None) -> int:
     except ScaleError as exc:
         _emit({"error": str(exc), "kind": "scale"})
         return EXIT_SCALE
-    except RuntimeError as exc:
-        _emit({"error": str(exc), "kind": "internal"})
-        return EXIT_INTERNAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc), "kind": "usage"})
         return EXIT_USAGE
+    except Exception as exc:
+        _emit({"error": str(exc), "kind": "internal"})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -161,8 +161,7 @@ def parity_check(g: Graph, a: int, b: int,
     return even_factor_deficiency(g, a, b, s, t) % 2 == a % 2
 
 
-def criterion_decide(g: Graph, a: int, b: int,
-                     max_n: int = EXHAUSTIVE_VERTEX_CAP
+def criterion_decide(g: Graph, a: int, b: int
                      ) -> tuple[bool, CriterionWitness | None]:
     """Decide whether the deficiency is nonpositive for every disjoint (S, T).
 
@@ -186,19 +185,14 @@ def criterion_decide(g: Graph, a: int, b: int,
     Ties with the best value compare witness keys explicitly, so the witness
     does not depend on the order in which splits are visited.
 
-    ``max_n`` may lower the vertex cap but not raise it above
-    ``EXHAUSTIVE_VERTEX_CAP`` (``ValueError``); graphs beyond the cap in
-    force raise :class:`ScaleError`.
+    Graphs with more than ``EXHAUSTIVE_VERTEX_CAP`` vertices raise
+    :class:`ScaleError` before any enumeration.
     """
     _require_even_pair(a, b)
-    if max_n > EXHAUSTIVE_VERTEX_CAP:
-        raise ValueError(
-            f"max_n may not exceed the enumeration cap {EXHAUSTIVE_VERTEX_CAP}, "
-            f"got {max_n}")
     n = g.n
-    if n > max_n:
+    if n > EXHAUSTIVE_VERTEX_CAP:
         raise ScaleError(
-            f"criterion enumeration supports n <= {max_n}, got n={n}")
+            f"criterion enumeration supports n <= {EXHAUSTIVE_VERTEX_CAP}, got n={n}")
     adj = g.adjacency_masks
     deg = g.degrees
     full = (1 << n) - 1

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,12 +26,13 @@ from .search import find_ab_factor
 #: Half-width of the guard band used when comparing against sharp thresholds.
 THRESHOLD_GUARD = 1e-9
 
-#: Exhaustive sweeps enumerate all 2^(n choose 2) graphs; beyond this n the
-#: request must fail loudly.
-SWEEP_EXHAUSTIVE_CAP = 8
+#: Exhaustive sweeps walk every edge mask with enough edges to reach rho:
+#: 10.7M masks and about 11 s of CPU at this n and a = 2, and about 25 times
+#: as many one vertex later.
+SWEEP_EXHAUSTIVE_CAP = 9
 
 #: Random sweeps build all n(n-1)/2 vertex pairs before the first sample:
-#: about 0.3 s and 35 MB at this n, growing as n^2.
+#: about 0.12 s and 35 MB at this n, growing as n^2.
 SWEEP_RANDOM_CAP = 1000
 
 DEFAULT_ROOT_TOL = 1e-12
@@ -188,12 +187,12 @@ def _min_edges(rho_value: float) -> int:
     has lambda1 <= (-1 + sqrt(1 + 8m)) / 2.  For fewer edges than returned,
     that bound is below ``rho_value - 2 * THRESHOLD_GUARD``: twice the guard,
     so that rounding in the eigensolve cannot lift lambda1 into the boundary
-    band.
+    band.  With r that target, and r >= -1/2 since rho is never negative,
+    the bound reaches r exactly when 1 + 8m >= (2r + 1)^2, that is when
+    m >= r(r + 1) / 2.
     """
-    m = 0
-    while (math.sqrt(1 + 8 * m) - 1) / 2 < rho_value - 2 * THRESHOLD_GUARD:
-        m += 1
-    return m
+    r = rho_value - 2 * THRESHOLD_GUARD
+    return max(0, math.ceil(r * (r + 1) / 2))
 
 
 def _degrees_non_increasing(mask: int, inc: list[int]) -> bool:
@@ -223,21 +222,6 @@ def _examine(g: Graph, mask: int | None, a: int, b: int,
                        verdict)
 
 
-def _sweep_chunk(n: int, a: int, b: int, rho_value: float,
-                 masks: range) -> list[SweepRecord]:
-    pairs = _vertex_pairs(n)
-    inc = [sum(1 << i for i, e in enumerate(pairs) if v in e) for v in range(n)]
-    min_edges = _min_edges(rho_value)
-    out = []
-    for mask in masks:
-        if mask.bit_count() < min_edges or not _degrees_non_increasing(mask, inc):
-            continue
-        rec = _examine(graph_from_mask(n, mask, pairs), mask, a, b, rho_value)
-        if rec is not None:
-            out.append(rec)
-    return out
-
-
 def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
                      seed: int | None = None, count: int | None = None,
                      jobs: int = 1) -> list[SweepRecord]:
@@ -248,13 +232,15 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     Graphs within the guard band of rho are recorded as boundary, never
     classified.
 
-    Exhaustive mode walks the upper-triangular edge bitmasks in increasing
-    order and decides each mask on the integer before building a graph:
+    Exhaustive mode examines the upper-triangular edge bitmasks that can
+    reach rho, and decides each on the integer before building a graph:
 
     1. Edge count.  By Stanley's bound, a graph with m edges has
-       lambda1 <= (-1 + sqrt(1 + 8m)) / 2.  A mask with fewer set bits than
-       the least m whose bound reaches rho - 2 * ``THRESHOLD_GUARD`` would be
-       classified 'below', so it is skipped.
+       lambda1 <= (-1 + sqrt(1 + 8m)) / 2, so a graph with fewer than
+       ``_min_edges(rho)`` edges would be classified 'below'.  Only masks
+       with at most C(n,2) - ``_min_edges(rho)`` missing pairs are walked,
+       by choosing those pairs: at n = 8 and a = 2, 499178 of the 2^28
+       masks.
     2. Degree order.  Vertex v's degree is the popcount of the mask and the
        bits of the pairs at v; a mask whose degrees increase somewhere is
        skipped, and every isomorphism class keeps its representatives with
@@ -262,38 +248,40 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
 
     Only the masks that pass both are built, eigensolved and, above rho,
     given a verdict, so the records equal those of building every
-    degree-sorted graph.  Exhaustive mode takes 1 <= jobs <= os.cpu_count(),
-    since the process pool starts all its workers at once, and hands each
-    worker a range of masks.  Random mode needs an explicit seed, skips
-    masks by the same edge count, runs serially, so it rejects jobs other
-    than 1, and refuses n above ``SWEEP_RANDOM_CAP``.
+    degree-sorted graph.  They are returned in increasing mask order.
+    Random mode needs an explicit seed, skips masks by the same edge count,
+    and refuses n above ``SWEEP_RANDOM_CAP``.  Both modes run in one
+    process.
     """
     if not (1 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
+    # Only jobs=1 is accepted.  The keyword stays because the benchmark's
+    # sweep workload passes jobs=1.
+    if jobs != 1:
+        raise ValueError(f"sweeps run serially; jobs must be 1, got {jobs}")
     rho_value = rho(n, a)
     if source == "exhaustive":
         if n > SWEEP_EXHAUSTIVE_CAP:
             raise ScaleError(
                 f"exhaustive sweep supports n <= {SWEEP_EXHAUSTIVE_CAP}, got n={n}")
-        cpus = os.cpu_count() or 1
-        if not 1 <= jobs <= cpus:
-            raise ValueError(f"jobs must be between 1 and the CPU count {cpus}, got {jobs}")
-        masks = range(1 << (n * (n - 1) // 2))
-        if jobs > 1:
-            chunk = max(1, len(masks) // (4 * jobs))
-            chunks = [masks[i:i + chunk] for i in range(0, len(masks), chunk)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = pool.map(_sweep_chunk,
-                                 itertools.repeat(n), itertools.repeat(a),
-                                 itertools.repeat(b), itertools.repeat(rho_value),
-                                 chunks)
-                return [rec for part in parts for rec in part]
-        return _sweep_chunk(n, a, b, rho_value, masks)
+        pairs = _vertex_pairs(n)
+        inc = [sum(1 << i for i, e in enumerate(pairs) if v in e) for v in range(n)]
+        bits = [1 << i for i in range(len(pairs))]
+        full = (1 << len(pairs)) - 1
+        records = []
+        for missing in range(len(pairs) - _min_edges(rho_value) + 1):
+            for removed in itertools.combinations(bits, missing):
+                mask = full ^ sum(removed)
+                if not _degrees_non_increasing(mask, inc):
+                    continue
+                rec = _examine(graph_from_mask(n, mask, pairs), mask, a, b, rho_value)
+                if rec is not None:
+                    records.append(rec)
+        records.sort(key=lambda rec: rec.mask)
+        return records
     if source == "random":
         if seed is None or count is None:
             raise ValueError("random sweep requires explicit seed and count")
-        if jobs != 1:
-            raise ValueError(f"random sweep runs serially; jobs must be 1, got {jobs}")
         if n > SWEEP_RANDOM_CAP:
             raise ScaleError(
                 f"random sweep supports n <= {SWEEP_RANDOM_CAP}, got n={n}")

@@ -1,5 +1,4 @@
 import json
-import os
 import random
 
 import pytest
@@ -168,6 +167,18 @@ def test_internal_error_is_reported_as_json(tmp_path, capsys, monkeypatch):
                        "kind": "internal"}
 
 
+def test_unexpected_exception_is_internal_json_not_a_traceback(capsys, monkeypatch):
+    def buggy(ns):
+        raise TypeError("unsupported operand type(s) for +: 'int' and 'str'")
+
+    monkeypatch.setattr("evenfactor.cli._cmd_repro", buggy)
+    code, out = run(capsys, "repro", "--claim", "sweep-smoke")
+    assert code == 4
+    assert last_json(out) == {
+        "error": "unsupported operand type(s) for +: 'int' and 'str'",
+        "kind": "internal"}
+
+
 def test_check_conditions_exit_codes(tmp_path, capsys):
     path = tmp_path / "h.edges"
     run(capsys, "construct", "example1", "--a", "4", "--b", "12", "--t", "9",
@@ -200,13 +211,16 @@ def test_criterion_scale_error_exit(tmp_path, capsys):
 
 
 def test_criterion_max_n_above_the_cap_is_usage_error(tmp_path, capsys):
+    # --max-n is gone: any value, above the cap or not, is an unknown option
     path = tmp_path / "c6.edges"
     path.write_text(ef.to_edge_list_text(ef.cycle_graph(6)))
-    code, out = run(capsys, "criterion", "--graph", str(path), "--a", "2",
-                    "--b", "2", "--max-n", "40")
-    assert code == 2
-    payload = last_json(out)
-    assert payload["kind"] == "usage" and "max_n" in payload["error"]
+    for value in ("40", "6"):
+        code, out = run(capsys, "criterion", "--graph", str(path), "--a", "2",
+                        "--b", "2", "--max-n", value)
+        assert code == 2
+        payload = last_json(out)
+        assert payload["kind"] == "usage"
+        assert "unrecognized arguments: --max-n" in payload["error"]
 
 
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
@@ -229,6 +243,7 @@ def test_sweep_streams_records_then_summary(capsys):
                     "--exhaustive")
     assert code == 0
     lines = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert lines[-1]["params"] == {"n": 5, "a": 2, "b": 2, "mode": "exhaustive"}
     summary = lines[-1]["result"]["summary"]
     assert summary["absent"] == 0
     assert summary["candidates"] == len(
@@ -260,7 +275,20 @@ def test_sweep_random_with_jobs_is_usage_error(capsys):
     assert code == 2
     payload = last_json(out)
     assert payload["kind"] == "usage"
-    assert "jobs must be 1" in payload["error"]
+    assert "unrecognized arguments: --jobs 2" in payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "5", "--a", "2", "--b", "2", "--exhaustive", "--jobs", "2"],
+    ["sweep", "--n", "5", "--a", "2", "--b", "2", "--exhaustive", "--jobs", "1"],
+    ["repro", "--all"],
+], ids=["sweep-jobs-2", "sweep-jobs-1", "repro-all"])
+def test_deleted_flags_are_usage_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage"
+    assert "unrecognized arguments" in payload["error"]
 
 
 def test_sweep_random_above_its_cap_is_a_scale_error(capsys):
@@ -269,21 +297,6 @@ def test_sweep_random_above_its_cap_is_a_scale_error(capsys):
                     "--seed", "1")
     assert code == 3
     assert last_json(out)["kind"] == "scale"
-
-
-@pytest.mark.parametrize("jobs", ["0", "cpus+1"])
-def test_sweep_jobs_outside_the_cpu_count_is_usage_error(capsys, monkeypatch, jobs):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no process pool may start")
-    monkeypatch.setattr(spectral, "ProcessPoolExecutor", no_pool)
-    if jobs == "cpus+1":
-        jobs = str((os.cpu_count() or 1) + 1)
-    code, out = run(capsys, "sweep", "--n", "5", "--a", "2", "--b", "2",
-                    "--exhaustive", "--jobs", jobs)
-    assert code == 2
-    payload = last_json(out)
-    assert payload["kind"] == "usage"
-    assert "jobs must be between 1 and the CPU count" in payload["error"]
 
 
 def test_repro_single_claim(capsys):

@@ -117,15 +117,12 @@ def argvs(draw) -> list[str]:
         argv.append("--exhaustive" if exhaustive else "--random")
         flag("count")
         flag("seed")
-        flag("jobs", st.sampled_from([1, 2]) | INTS)
     else:
         argv.extend(["--graph", "g.edges"])
         if command == "verify":
             argv.extend(["--factor", "factor.json"])
         if command != "spectral":
             pair()
-        if command == "criterion":
-            flag("max-n", present=st.booleans())
         if command == "check-conditions":
             argv.extend(draw(st.sampled_from(
                 [["--theorem"], ["--conjecture"], [], ["--theorem", "--conjecture"]])))

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 import tracemalloc
 
@@ -223,6 +222,48 @@ def test_sweep_equals_the_naive_funnel():
                 assert ef.conjecture_sweep(n, a, b) == _naive_sweep(n, a, b), (n, a, b)
 
 
+# Pinned at the commit whose sweep walked every mask in increasing order:
+# (n, a, b): (records, candidates, boundary), sum of the record masks, and the
+# boundary record's mask.
+SWEEP_PINS = {
+    (7, 2, 4): ((34, 33, 1), 42763422, 375807),
+    (8, 2, 4): ((121, 120, 1), 18861007495, 48099327),
+    (8, 4, 4): ((32, 31, 1), 5408841696, 48234495),
+}
+
+
+@pytest.mark.parametrize("nab", sorted(SWEEP_PINS), ids="n{0[0]}-a{0[1]}-b{0[2]}".format)
+def test_sweep_above_the_naive_funnel_matches_its_pins(nab):
+    counts, mask_sum, boundary_mask = SWEEP_PINS[nab]
+    records = ef.conjecture_sweep(*nab)
+    summary = ef.sweep_summary(records)
+    assert (summary["records"], summary["candidates"], summary["boundary"]) == counts
+    assert summary["present"] == summary["candidates"] and summary["absent"] == 0
+    masks = [r.mask for r in records]
+    assert all(x < y for x, y in zip(masks, masks[1:]))
+    assert sum(masks) == mask_sum
+    boundary = [r.mask for r in records if r.classification == "boundary"]
+    assert boundary == [boundary_mask]
+
+
+def _min_edges_by_steps(rho_value):
+    """The least m whose Stanley bound reaches rho - 2 * guard, one m at a time."""
+    m = 0
+    while (math.sqrt(1 + 8 * m) - 1) / 2 < rho_value - 2 * spectral.THRESHOLD_GUARD:
+        m += 1
+    return m
+
+
+def test_min_edges_matches_the_stepping_loop():
+    cases = [(n, a) for n in range(2, 60) for a in range(1, n) if a * n % 2 == 0]
+    cases += [(n, a) for n in (100, 250, 1000) for a in (1, 2, 4, 10, n // 2, n - 2)
+              if a * n % 2 == 0]
+    assert len(cases) > 800
+    for n, a in cases:
+        r = ef.rho(n, a)
+        assert spectral._min_edges(r) == _min_edges_by_steps(r), (n, a)
+
+
 def test_sweep_exhaustive_small_clean():
     records = ef.conjecture_sweep(4, 2, 2, source="exhaustive")
     summary = ef.sweep_summary(records)
@@ -257,36 +298,22 @@ def test_sweep_random_rejects_jobs():
         ef.conjecture_sweep(5, 2, 2, source="random", seed=9, count=8, jobs=2)
 
 
+@pytest.mark.parametrize("jobs", [2, 0, -1])
+def test_sweep_exhaustive_rejects_jobs_other_than_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=jobs)
+
+
 def test_sweep_random_is_reproducible():
     one = ef.conjecture_sweep(6, 2, 2, source="random", seed=13, count=40)
     two = ef.conjecture_sweep(6, 2, 2, source="random", seed=13, count=40)
     assert one == two
 
 
-def test_sweep_parallel_matches_serial():
-    serial = ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=1)
-    parallel = ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=2)
-    assert serial == parallel
-    assert (ef.conjecture_sweep(6, 2, 4, source="exhaustive", jobs=2)
-            == ef.conjecture_sweep(6, 2, 4, source="exhaustive", jobs=1))
-
-
-def _no_pool(*args, **kwargs):
-    raise AssertionError("no process pool may start")
-
-
-@pytest.mark.parametrize("jobs", [0, -1, "cpus+1"])
-def test_sweep_jobs_outside_the_cpu_count_are_rejected(monkeypatch, jobs):
-    monkeypatch.setattr(spectral, "ProcessPoolExecutor", _no_pool)
-    if jobs == "cpus+1":
-        jobs = (os.cpu_count() or 1) + 1
-    with pytest.raises(ValueError, match="jobs must be between 1 and the CPU count"):
-        ef.conjecture_sweep(4, 2, 2, source="exhaustive", jobs=jobs)
-
-
 def test_sweep_exhaustive_memory_stays_small():
-    # The masks stay a range: a list of all 2^15 masks at n = 6 alone peaks
-    # above 1 MB (and at 2^28 ints, about 10 GB, at n = 8).
+    # The masks are generated one at a time from combinations of missing
+    # pairs: a list of all 2^15 masks at n = 6 alone would peak above 1 MB
+    # (and the 10.7M masks walked at n = 9 about 430 MB).
     tracemalloc.start()
     try:
         ef.conjecture_sweep(6, 2, 4, source="exhaustive")
@@ -297,8 +324,9 @@ def test_sweep_exhaustive_memory_stays_small():
 
 
 def test_sweep_exhaustive_cap():
+    assert spectral.SWEEP_EXHAUSTIVE_CAP == 9
     with pytest.raises(ef.ScaleError):
-        ef.conjecture_sweep(9, 2, 2, source="exhaustive")
+        ef.conjecture_sweep(10, 2, 2, source="exhaustive")
 
 
 def test_sweep_random_cap_refuses_before_building_anything():
