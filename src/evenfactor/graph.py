@@ -171,22 +171,25 @@ def components_after_deletion(g: Graph, deleted: Iterable[int]) -> list[tuple[in
     Components are ordered by their smallest vertex.
     """
     x = _as_vertex_set(g, deleted, "deleted set")
-    seen = set(x)
-    comps: list[tuple[int, ...]] = []
+    return [tuple(sorted(comp)) for comp in _components(g, x)]
+
+
+def _components(g: Graph, deleted: frozenset[int]) -> list[list[int]]:
+    """Components of G - X for a validated X, each as a list of its vertices,
+    ordered by their smallest vertex."""
+    seen = set(deleted)
+    comps: list[list[int]] = []
     for start in range(g.n):
         if start in seen:
             continue
-        comp = []
-        queue = deque([start])
+        comp = [start]
         seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
+        for v in comp:
             for w in g.adjacency[v]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
+                    comp.append(w)
+        comps.append(comp)
     return comps
 
 

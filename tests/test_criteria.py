@@ -1,9 +1,13 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import evenfactor as ef
+from evenfactor import criteria
 from evenfactor.criteria import EXHAUSTIVE_VERTEX_CAP
 from helpers import brute_max_deficiency, random_graph
 
@@ -199,6 +203,57 @@ def test_criterion_sufficiency_on_random_graphs():
                 holds_count += 1
                 assert ef.find_even_factor(g, a, b) is not None
     assert holds_count > 0
+
+
+def test_split_keys_order_like_tuple_keys():
+    # The int64 witness key sorts every disjoint (S, T) as the tuple
+    # (|S|, |T|, S, T) does, with no two splits sharing a key.
+    for n in range(6):
+        splits = []
+        for assign in itertools.product(range(3), repeat=n):
+            s = tuple(v for v in range(n) if assign[v] == 1)
+            t = tuple(v for v in range(n) if assign[v] == 2)
+            splits.append((len(s), len(t), s, t))
+        s_masks = np.array([sum(1 << v for v in s) for _, _, s, _ in splits], dtype=np.int32)
+        t_masks = np.array([sum(1 << v for v in t) for _, _, _, t in splits], dtype=np.int32)
+        keys = criteria._split_keys(n, s_masks, t_masks).tolist()
+        assert len(set(keys)) == len(keys) == 3 ** n
+        assert sorted(range(len(keys)), key=keys.__getitem__) == \
+            sorted(range(len(splits)), key=splits.__getitem__)
+
+
+def test_criterion_pins_at_thirteen_and_fourteen_vertices():
+    # Every (holds, witness) below was recorded with the earlier
+    # criterion_decide that walked the splits of each W one at a time in
+    # Gray-code order.
+    cases = [
+        (ef.cycle_graph(13), 2, 2, None),
+        (ef.cycle_graph(14), 2, 2, None),
+        (random_graph(random.Random(7), 13, 0.25), 2, 2,
+         ((0, 4, 5), (1, 3, 7, 9, 10, 12), 6)),
+        (random_graph(random.Random(2), 13, 0.35), 4, 6,
+         ((), (1, 3, 4, 5, 6, 7, 9), 14)),
+    ]
+    for g, a, b, expected in cases:
+        holds, witness = ef.criterion_decide(g, a, b)
+        assert holds == (expected is None)
+        if expected is None:
+            assert witness is None
+        else:
+            assert (witness.S, witness.T, witness.value) == expected
+
+
+def test_criterion_memory_stays_small_at_fourteen_vertices():
+    # 3^14 splits would take 19 MB as int32; the blocks keep the peak near
+    # the O(2^n n) tables, which the cleared cache counts in.
+    criteria._subset_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        assert ef.criterion_decide(ef.cycle_graph(14), 2, 2) == (True, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_criterion_scale_cap():
