@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ScaleError
-from .graph import Graph, INFINITY, components_after_deletion, edge_cut, sigma2, \
+from .graph import Graph, INFINITY, sigma2, \
     vertex_connectivity, edge_connectivity, degree_profile, _as_vertex_set, _components
 
 if TYPE_CHECKING:
@@ -139,7 +139,8 @@ def lovasz_deficiency(g: Graph, lower: Sequence[int], upper: Sequence[int],
     where q(S,T) counts components Q of G-(S+T) with lower = upper on all of Q
     and |[Q,T]| + sum_{v in Q} upper(v) odd.  Nonnegativity over all disjoint
     (S, T) characterizes the existence of a spanning subgraph with
-    lower(v) <= d_H(v) <= upper(v) everywhere.
+    lower(v) <= d_H(v) <= upper(v) everywhere.  S and T are validated once;
+    each cut is counted from the adjacency sets of its vertices.
     """
     if len(lower) != g.n or len(upper) != g.n:
         raise ValueError(f"bound vectors must have length n={g.n}")
@@ -151,14 +152,13 @@ def lovasz_deficiency(g: Graph, lower: Sequence[int], upper: Sequence[int],
             for v in bad)
         raise ValueError(f"need 0 <= lower <= upper <= degree per vertex; violated at {detail}")
     ss, tt = _disjoint_sets(g, s, t)
-    q = 0
-    for comp in components_after_deletion(g, ss | tt):
-        if all(lower[v] == upper[v] for v in comp):
-            if (edge_cut(g, comp, tt) + sum(upper[v] for v in comp)) % 2 == 1:
-                q += 1
+    adj = g.adjacency
+    q = sum(1 for comp in _components(g, ss | tt)
+            if all(lower[v] == upper[v] for v in comp)
+            and sum(len(adj[v] & tt) + upper[v] for v in comp) % 2)
     return (sum(g.degree(v) - lower[v] for v in tt)
             + sum(upper[u] for u in ss)
-            - edge_cut(g, ss, tt)
+            - sum(len(adj[u] & tt) for u in ss)
             - q)
 
 

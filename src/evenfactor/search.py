@@ -10,10 +10,13 @@ b-factor uses get no nodes at all.  For an [a,b]-factor of any parity, each
 vertex instead gets min(b, d) - a soft singles on its ports, which may stay
 exposed.  A factor exists iff a matching covers every node but the soft
 singles.
-The matching starts with every hard core matched to a port of its own
-vertex, roots its searches only at nodes that must be covered, and each
-search then works only on the vertices it labels, so its cost follows the
-search tree rather than the size of the gadget.
+The matching starts from a greedy factor of the graph, its parity repaired
+where soft pairs take ports two at a time, with every hard core, soft
+single and soft pair then placed on the ports left free; on dense gadgets
+this leaves only a handful of nodes exposed.  It roots its
+searches only at nodes that must be covered, and each search then works
+only on the vertices it labels, so its cost follows the search tree rather
+than the size of the gadget.
 A brute-force edge-subset search provides the independent ground truth at
 small scale.
 """
@@ -387,25 +390,81 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
     nodes other than soft singles as any matching can; on an even gadget,
     a maximum-cardinality matching.
 
-    The search starts from the core-first matching: the i-th hard core of
-    every vertex is matched to that vertex's i-th port.  Hard cores are joined
-    only to ports, and a vertex has at most as many hard cores as ports, so
-    this is always a matching, and it covers every hard core before the
-    greedy and the alternating-tree searches finish the job.  Soft singles
-    are the optional nodes of :func:`maximum_cardinality_matching`.
+    The search starts from a matching built per host vertex v, whose real
+    degree may reach ``top`` = (ports of v) - (hard cores of v):
+
+    1. Greedy factor: the real edges are walked twice in gadget order, an
+       edge matched port to port while both of its ends have room.  The
+       first walk leaves each vertex the ``slack`` its soft pairs (two
+       ports each) and soft singles can absorb, so it stops every vertex at
+       the least real degree the gadget allows, a; the second fills up to
+       ``top``.  Without the first walk, early vertices take edges that
+       later ones need to reach that least degree.
+    2. Parity repair: soft pairs take ports two at a time, so a vertex with
+       a soft pair and an odd number of ports left below ``top`` can never
+       be finished by them.  In gadget order, each real edge joining two
+       such vertices is toggled, unmatched if chosen and matched if not
+       (both ends then have a port left below ``top``), which makes both
+       counts even.  Vertices without soft pairs, and so every vertex of a
+       parity-free gadget, are left alone.
+    3. Each hard core takes a free port of v.  At most ``top`` ports went
+       to real edges, so one is always left.
+    4. Each soft single takes a free port while one is left.  Each soft
+       pair takes two free ports while two are left, and otherwise is
+       matched to its own inner edge.
+
+    On dense gadgets this leaves only a few nodes exposed for the greedy
+    and the alternating-tree searches of
+    :func:`maximum_cardinality_matching` to finish.  Soft singles are its
+    optional nodes.
     """
-    adj: list[list[int]] = [[] for _ in range(instance.n_nodes)]
+    n = instance.n_nodes
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in instance.edges:
         adj[u].append(v)
         adj[v].append(u)
-    init = [-1] * instance.n_nodes
-    for ports, cores in zip(instance.ports, instance.cores):
-        for c, p in zip(cores, ports):
-            init[c] = p
-            init[p] = c
+    mate = [-1] * n
+    room = [len(p) - len(c) for p, c in zip(instance.ports, instance.cores)]
+    pairs: list[list[Edge]] = [[] for _ in room]
+    real: list[tuple[int, int, int, int]] = []
+    for (p, q), (kind, x) in instance.decode.items():
+        if kind == "edge":
+            real.append((p, q, *x))
+        else:
+            pairs[x].append((p, q))
+    slack = [2 * len(ps) + len(s) for ps, s in zip(pairs, instance.singles)]
+    for floor in (slack, [0] * len(room)):
+        for p, q, u, v in real:
+            if mate[p] < 0 and room[u] > floor[u] and room[v] > floor[v]:
+                mate[p], mate[q] = q, p
+                room[u] -= 1
+                room[v] -= 1
+    if any(pairs):
+        for p, q, u, v in real:
+            if pairs[u] and pairs[v] and room[u] % 2 and room[v] % 2:
+                if mate[p] == q:
+                    mate[p] = mate[q] = -1
+                    step = 1
+                else:
+                    mate[p], mate[q] = q, p
+                    step = -1
+                room[u] += step
+                room[v] += step
+    for v, ports in enumerate(instance.ports):
+        free = [p for p in ports if mate[p] < 0]
+        for x in instance.cores[v] + instance.singles[v]:
+            if free:
+                p = free.pop()
+                mate[p], mate[x] = x, p
+        for x, y in pairs[v]:
+            if len(free) >= 2:
+                p, q = free.pop(), free.pop()
+                mate[p], mate[x], mate[q], mate[y] = x, p, y, q
+            else:
+                mate[x], mate[y] = y, x
     optional = [s for singles in instance.singles for s in singles]
-    mate = maximum_cardinality_matching(instance.n_nodes, adj, init, optional)
-    return {(v, mate[v]) for v in range(instance.n_nodes) if 0 <= v < mate[v]}
+    mate = maximum_cardinality_matching(n, adj, mate, optional)
+    return {(v, mate[v]) for v in range(n) if 0 <= v < mate[v]}
 
 
 def is_perfect(instance: MatchingInstance, matching: set[Edge]) -> bool:

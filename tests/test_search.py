@@ -298,8 +298,9 @@ def test_matching_on_family_gadgets_agrees_with_networkx(g, a, b):
 
 
 def test_warm_started_gadget_matching_agrees_with_networkx():
-    # max_matching starts from cores matched to ports; augmentations never
-    # expose a matched node, so every core stays covered.
+    # max_matching starts from a greedy factor with every core matched to a
+    # free port; augmentations never expose a matched node, so every core
+    # stays covered.
     rng = random.Random(39)
     checked = 0
     while checked < 60:
@@ -344,6 +345,70 @@ def test_matching_with_optional_nodes_covers_the_most_required_nodes():
         assert size == _networkx_matching_size(n, g.sorted_edges())
 
 
+def _assert_warm_matches_cold(inst):
+    """max_matching's greedy warm start against matching from scratch and
+    networkx: the same count of covered required nodes (on an even gadget,
+    the same size), the same perfect verdict, and every hard core covered."""
+    adj = _gadget_adjacency(inst)
+    singles = {s for per_vertex in inst.singles for s in per_vertex}
+    warm = ef.max_matching(inst)
+    _assert_valid_gadget_matching(inst, warm)
+    mate = ef.maximum_cardinality_matching(inst.n_nodes, adj, optional=singles)
+    _assert_valid_mate(mate, adj)
+    cold = {(v, u) for v, u in enumerate(mate) if v < u}
+    if singles:
+        def cover(matching):
+            return sum(v not in singles for e in matching for v in e)
+        expected = _networkx_required_cover(inst.n_nodes, inst.edges, singles)
+        assert cover(warm) == cover(cold) == expected
+    else:
+        expected = _networkx_matching_size(inst.n_nodes, inst.edges)
+        assert len(warm) == len(cold) == expected
+    assert ef.is_perfect(inst, warm) == ef.is_perfect(inst, cold)
+    covered = {v for e in warm for v in e}
+    assert all(c in covered for cores in inst.cores for c in cores)
+    return ef.is_perfect(inst, warm)
+
+
+def test_warm_start_agrees_with_cold_start_on_random_gadgets():
+    # Unbalanced bipartite graphs give the gadgets without a perfect
+    # matching, where some search must fail to cover its root.
+    rng = random.Random(43)
+    perfect = {True: 0, False: 0}
+    even = parity_free = 0
+    while even < 100 or parity_free < 100:
+        if rng.random() < 0.5:
+            x = rng.randint(2, 5)
+            y, p = rng.randint(x + 1, 12 - x), rng.choice([0.6, 0.9])
+            g = ef.build_graph(x + y, [(u, x + v) for u in range(x) for v in range(y)
+                                       if rng.random() < p])
+        else:
+            g = random_graph(rng, rng.randint(2, 12), rng.choice([0.3, 0.6, 0.9]))
+        a, b = rng.choice([(2, 2), (2, 4), (4, 4), (2, 6)])
+        if min(g.degrees) < a:
+            continue
+        if even < 100:
+            even += 1
+            inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
+            perfect[_assert_warm_matches_cold(inst)] += 1
+        if parity_free < 100:
+            parity_free += 1
+            inst = ef.tutte_gadget(ef.MultiGraph.from_graph(g), b, a)
+            perfect[_assert_warm_matches_cold(inst)] += 1
+    assert min(perfect.values()) >= 40
+
+
+@pytest.mark.parametrize("g, a, b", [
+    (ef.example1(4, 12, 9), 4, 12),
+    (ef.example2(4, 24, 6), 4, 24),
+    (ef.complete_graph(8), 2, 6),
+    (ef.complete_graph(9), 2, 2),
+], ids=["example1_4_12_9", "example2_4_24_6", "K8_2_6", "K9_2_2"])
+def test_warm_start_agrees_with_cold_start_on_family_gadgets(g, a, b):
+    _assert_warm_matches_cold(ef.tutte_gadget(ef.loop_augment(g, a, b), b))
+    _assert_warm_matches_cold(ef.tutte_gadget(ef.MultiGraph.from_graph(g), b, a))
+
+
 def test_matching_init_is_extended_to_a_maximum_matching():
     adj = [list(PETERSEN.neighbors(v)) for v in range(10)]
     init = [-1] * 10
@@ -368,6 +433,17 @@ def test_matching_init_must_be_a_matching():
 def test_find_even_factor_k5_is_whole_graph():
     factor = ef.find_even_factor(K5, 4, 4)
     assert factor.edges == K5.edges
+
+
+@pytest.mark.parametrize("n, a", [(8, 4), (12, 6), (16, 8), (20, 10), (40, 20),
+                                  (9, 4), (11, 4)])
+def test_find_even_factor_regular_factors_of_cliques(n, a):
+    # beyond the brute-force cap: the oracle is verification plus degrees
+    g = ef.complete_graph(n)
+    factor = ef.find_even_factor(g, a, a)
+    assert factor is not None
+    assert ef.verify_factor(g, factor, a, a, require_even=True)
+    assert factor.degrees == (a,) * n
 
 
 def test_find_even_factor_counterexample_families_absent():
