@@ -33,9 +33,9 @@ for name, g, a, b in [("C6", ef.cycle_graph(6), 2, 2),
 
 show("The construction pipeline on K4 with bounds [2,4]")
 k4 = ef.complete_graph(4)
-augmented = ef.loop_augment(k4, 2, 4)
-print("  one loop per vertex lifts every degree to", augmented.degrees[0])
-instance = ef.tutte_gadget(augmented, 4)
+g, k = ef.loop_augment(k4, 2, 4)
+print("  one loop per vertex lifts every degree to", g.degrees[0] + 2 * k)
+instance = ef.tutte_gadget((g, k), 4)
 print("  real degree 3 < 4, so every 4-factor uses the loop: each vertex gets")
 print("  3 ports and 1 hard core, and the forced loop gets no nodes")
 print("  gadget size:", instance.n_nodes, "nodes,", len(instance.edges), "edges")

@@ -3,13 +3,11 @@
 from .errors import ScaleError
 from .graph import (
     Graph,
-    MultiGraph,
     INFINITY,
     build_graph,
     degree_profile,
     sigma2,
     components_after_deletion,
-    edge_cut,
     edge_connectivity,
     vertex_connectivity,
     is_connected,

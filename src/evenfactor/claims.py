@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .graph import build_graph, degree_profile, sigma2, edge_connectivity, \
     vertex_connectivity
-from .criteria import conjecture_conditions, even_factor_deficiency, \
-    order_threshold, prop_f_eval
+from .criteria import conjecture_conditions, order_threshold, parity_check, \
+    prop_f_eval
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import find_ab_factor, find_even_factor
 from .spectral import bipartite_threshold, classify_threshold, conjecture_sweep, \
@@ -56,7 +56,7 @@ def claim_parity_invariance() -> ClaimRow:
         s = tuple(v for v in range(n) if side[v] == 1)
         t = tuple(v for v in range(n) if side[v] == 2)
         for a, b in pairs:
-            if even_factor_deficiency(g, a, b, s, t) % 2 != a % 2:
+            if not parity_check(g, a, b, s, t):
                 violations += 1
     return ClaimRow(
         "parity-invariance",

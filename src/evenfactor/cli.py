@@ -65,6 +65,7 @@ FAMILIES = {
     "hna": (("n", "a"), lambda ns: h_na(ns.n, ns.a)),
     "kxy": (("x", "y"), lambda ns: complete_bipartite(ns.x, ns.y)),
 }
+FAMILY_FLAGS = ("a", "b", "t", "n", "x", "y")
 
 
 def _cmd_construct(ns) -> int:
@@ -72,6 +73,10 @@ def _cmd_construct(ns) -> int:
     missing = [f"--{name}" for name in spec[0] if getattr(ns, name) is None]
     if missing:
         raise ValueError(f"family {ns.family} requires {' '.join(missing)}")
+    extra = [f"--{name}" for name in FAMILY_FLAGS
+             if name not in spec[0] and getattr(ns, name) is not None]
+    if extra:
+        raise ValueError(f"family {ns.family} takes no {' '.join(extra)}")
     g = spec[1](ns)
     params = {"family": ns.family}
     params.update({name: getattr(ns, name) for name in spec[0]})
@@ -176,6 +181,8 @@ def _cmd_sweep(ns) -> int:
                                    seed=ns.seed, count=ns.count)
         source = {"mode": "random", "seed": ns.seed, "count": ns.count}
     else:
+        if ns.seed is not None or ns.count is not None:
+            raise ValueError("--exhaustive takes no --seed or --count")
         records = conjecture_sweep(ns.n, ns.a, ns.b, source="exhaustive")
         source = {"mode": "exhaustive"}
     for rec in records:
@@ -214,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="generate a named graph family")
     p.add_argument("family", choices=sorted(FAMILIES))
-    for flag in ("a", "b", "t", "n", "x", "y"):
+    for flag in FAMILY_FLAGS:
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--out", help="write edge-list format to this path")
     p.add_argument("--dot", help="write DOT format to this path")

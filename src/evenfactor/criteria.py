@@ -145,10 +145,10 @@ def lovasz_deficiency(g: Graph, lower: Sequence[int], upper: Sequence[int],
     if len(lower) != g.n or len(upper) != g.n:
         raise ValueError(f"bound vectors must have length n={g.n}")
     bad = [v for v in range(g.n)
-           if not (0 <= lower[v] <= upper[v] <= g.degree(v))]
+           if not (0 <= lower[v] <= upper[v] <= g.degrees[v])]
     if bad:
         detail = ", ".join(
-            f"v={v}: lower={lower[v]}, upper={upper[v]}, degree={g.degree(v)}"
+            f"v={v}: lower={lower[v]}, upper={upper[v]}, degree={g.degrees[v]}"
             for v in bad)
         raise ValueError(f"need 0 <= lower <= upper <= degree per vertex; violated at {detail}")
     ss, tt = _disjoint_sets(g, s, t)
@@ -156,7 +156,7 @@ def lovasz_deficiency(g: Graph, lower: Sequence[int], upper: Sequence[int],
     q = sum(1 for comp in _components(g, ss | tt)
             if all(lower[v] == upper[v] for v in comp)
             and sum(len(adj[v] & tt) + upper[v] for v in comp) % 2)
-    return (sum(g.degree(v) - lower[v] for v in tt)
+    return (sum(g.degrees[v] - lower[v] for v in tt)
             + sum(upper[u] for u in ss)
             - sum(len(adj[u] & tt) for u in ss)
             - q)

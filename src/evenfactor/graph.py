@@ -1,4 +1,4 @@
-"""Simple undirected graphs with exact cut, component, and connectivity queries.
+"""Simple undirected graphs with exact component and connectivity queries.
 
 Vertices are dense integer ids 0..n-1.  Graph values are immutable after
 construction and safe to share across workers; every operation here is a pure
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 #: Distinguished value returned by :func:`sigma2` on complete graphs, where the
 #: minimum runs over an empty set of vertex pairs.  Any finite threshold
@@ -59,20 +59,8 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def is_complete(self) -> bool:
-        return self.m == self.n * (self.n - 1) // 2
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -91,47 +79,6 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge {i}: self-loop ({u},{v}) not allowed")
         edges.add((min(u, v), max(u, v)))
     return Graph(n, frozenset(edges))
-
-
-@dataclass(frozen=True, eq=False)
-class MultiGraph:
-    """Graph extended with parallel-edge multiplicities and per-vertex loops.
-
-    A loop at v contributes 2 to degree(v).  Restricting to multiplicity-1,
-    loop-free entries round-trips with :class:`Graph`.
-    """
-
-    n: int
-    edge_mult: Mapping[Edge, int] = field(default_factory=dict)
-    loops: Mapping[int, int] = field(default_factory=dict)
-
-    def degree(self, v: int) -> int:
-        d = 2 * self.loops.get(v, 0)
-        for (a, b), k in self.edge_mult.items():
-            if a == v or b == v:
-                d += k
-        return d
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for (a, b), k in self.edge_mult.items():
-            degs[a] += k
-            degs[b] += k
-        for v, k in self.loops.items():
-            degs[v] += 2 * k
-        return tuple(degs)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "MultiGraph":
-        return cls(g.n, {e: 1 for e in g.sorted_edges()}, {})
-
-    def to_graph(self) -> Graph:
-        if any(k > 0 for k in self.loops.values()):
-            raise ValueError("cannot convert: multigraph has loops")
-        if any(k != 1 for k in self.edge_mult.values()):
-            raise ValueError("cannot convert: multigraph has parallel edges")
-        return Graph(self.n, frozenset(self.edge_mult))
 
 
 def _as_vertex_set(g: Graph, verts: Iterable[int], name: str) -> frozenset[int]:
@@ -191,15 +138,6 @@ def _components(g: Graph, deleted: frozenset[int]) -> list[list[int]]:
                     comp.append(w)
         comps.append(comp)
     return comps
-
-
-def edge_cut(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
-    """Number of edges with one endpoint in S and the other in T."""
-    ss = _as_vertex_set(g, s, "S")
-    tt = _as_vertex_set(g, t, "T")
-    if ss & tt:
-        raise ValueError(f"S and T overlap on {sorted(ss & tt)}")
-    return sum(1 for u, v in g.edges if (u in ss and v in tt) or (v in ss and u in tt))
 
 
 def is_connected(g: Graph) -> bool:

@@ -3,13 +3,13 @@
 Both questions are decided on the graph itself by matching on a port/core
 gadget (Tutte 1952, "The factors of graphs"; Lovász 1970; Anstee 1985).
 Each vertex gets one port per real edge endpoint and hard cores that cap
-its real degree at b.  For an even [a,b]-factor, (b-a)/2 loops are added at
-every vertex and each loop a vertex may leave unused becomes a soft pair of
-nodes on its ports, so loops get no ports of their own and loops that every
-b-factor uses get no nodes at all.  For an [a,b]-factor of any parity, each
-vertex instead gets min(b, d) - a soft singles on its ports, which may stay
-exposed.  A factor exists iff a matching covers every node but the soft
-singles.
+its real degree at b.  For an even [a,b]-factor, every vertex gets the same
+k = (b-a)/2 loops, carried as the one count of the pair (G, k), and each
+loop a vertex may leave unused becomes a soft pair of nodes on its ports, so
+loops get no ports of their own and loops that every b-factor uses get no
+nodes at all.  For an [a,b]-factor of any parity, each vertex instead gets
+min(b, d) - a soft singles on its ports, which may stay exposed.  A factor
+exists iff a matching covers every node but the soft singles.
 The matching starts from a greedy factor of the graph, its parity repaired
 where soft pairs take ports two at a time, with every hard core, soft
 single and soft pair then placed on the ports left free; on dense gadgets
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ScaleError
-from .graph import Edge, Graph, MultiGraph
+from .graph import Edge, Graph
 from .criteria import _require_even_pair
 
 #: Edge-count cap for the brute-force oracle (2^m worst case).
@@ -60,7 +60,7 @@ class Factor:
 @dataclass(frozen=True, eq=False)
 class MatchingInstance:
     """Gadget graph whose matchings covering every node but the soft singles
-    encode factors of a multigraph.
+    encode the b-factors of a looped graph, or the [a,b]-factors of a graph.
 
     ``ports[v]`` lists the gadget nodes standing for real edge endpoints at v,
     ``cores[v]`` the hard cores completely joined to them and ``singles[v]``
@@ -163,16 +163,18 @@ def brute_force_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     return _degree_interval_search(g, a, b, require_even=True)
 
 
-def loop_augment(g: Graph, a: int, b: int) -> MultiGraph:
-    """Add (b-a)/2 loops at every vertex, lifting degrees by b-a."""
+def loop_augment(g: Graph, a: int, b: int) -> tuple[Graph, int]:
+    """The looped graph ``(g, k)``: g with k = (b-a)/2 loops at every vertex,
+    which lift every degree by b-a, so that an even [a,b]-factor of g is a
+    b-factor of it."""
     _require_even_pair(a, b)
-    k = (b - a) // 2
-    loops = {v: k for v in range(g.n)} if k else {}
-    return MultiGraph(g.n, {e: 1 for e in g.sorted_edges()}, loops)
+    return g, (b - a) // 2
 
 
-def tutte_gadget(mg: MultiGraph, b: int, a: int | None = None) -> MatchingInstance:
-    """Expand a multigraph into the port/core gadget for degrees up to b.
+def tutte_gadget(looped: tuple[Graph, int], b: int,
+                 a: int | None = None) -> MatchingInstance:
+    """Expand a looped graph ``(g, k)`` into the port/core gadget for degrees
+    up to b.
 
     Let v have d real edge endpoints and k loops.  A b-factor that uses j of
     the loops gives v real degree b - 2j, so v's real degree may be any value
@@ -185,39 +187,37 @@ def tutte_gadget(mg: MultiGraph, b: int, a: int | None = None) -> MatchingInstan
     ..., b-2k ports to real edges: perfect matchings correspond exactly to
     b-factors (Tutte 1952; Lovász 1970; Anstee 1985).  The (b - top)/2 loops
     that every b-factor must use, which occur only where d < b, get no
-    nodes, and a loop-free multigraph gets the plain gadget with d - b hard
-    cores.  Vertices with d + 2k < b cannot reach degree b: fail fast,
-    naming one.
+    nodes, and k = 0 gives the plain gadget with d - b hard cores.  Vertices
+    with d + 2k < b cannot reach degree b: fail fast, naming one.
 
-    Given a lower bound ``a``, the gadget is the parity-free one for a
-    loop-free multigraph: top = min(b, d), d - top hard cores, and top - a
+    Given a lower bound ``a``, the gadget is the parity-free one, which
+    needs k = 0: top = min(b, d), d - top hard cores, and top - a
     soft singles, each joined to every port of v.  A matching that covers
     every port and hard core leaves between a and top ports to real edges,
     so such matchings correspond exactly to [a,b]-factors (Lovász 1970).
     Vertices with d < a fail fast, naming one.
     """
-    if a is not None and any(mg.loops.values()):
-        raise ValueError("the parity-free gadget takes a loop-free multigraph")
+    g, k = looped
+    if a is not None and k:
+        raise ValueError("the parity-free gadget takes a loop-free graph, k = 0")
     low = b if a is None else a
-    degs = mg.degrees
-    for v in range(mg.n):
-        if degs[v] < low:
+    for v, d in enumerate(g.degrees):
+        if d + 2 * k < low:
             raise ValueError(
-                f"vertex {v} has augmented degree {degs[v]} < {low}; no factor exists")
-    ports: list[list[int]] = [[] for _ in range(mg.n)]
-    cores: list[list[int]] = [[] for _ in range(mg.n)]
-    singles: list[list[int]] = [[] for _ in range(mg.n)]
+                f"vertex {v} has augmented degree {d + 2 * k} < {low}; no factor exists")
+    ports: list[list[int]] = [[] for _ in range(g.n)]
+    cores: list[list[int]] = [[] for _ in range(g.n)]
+    singles: list[list[int]] = [[] for _ in range(g.n)]
     gadget_edges: list[Edge] = []
     decode: dict[Edge, tuple] = {}
     counter = 0
-    for (u, v) in sorted(mg.edge_mult):
-        for _ in range(mg.edge_mult[(u, v)]):
-            ports[u].append(counter)
-            ports[v].append(counter + 1)
-            gadget_edges.append((counter, counter + 1))
-            decode[(counter, counter + 1)] = ("edge", (u, v))
-            counter += 2
-    for v in range(mg.n):
+    for (u, v) in g.sorted_edges():
+        ports[u].append(counter)
+        ports[v].append(counter + 1)
+        gadget_edges.append((counter, counter + 1))
+        decode[(counter, counter + 1)] = ("edge", (u, v))
+        counter += 2
+    for v in range(g.n):
         d = len(ports[v])
         top = min(b, d)
         if a is None:
@@ -230,7 +230,7 @@ def tutte_gadget(mg: MultiGraph, b: int, a: int | None = None) -> MatchingInstan
             singles[v].append(counter)
             gadget_edges.extend((p, counter) for p in ports[v])
             counter += 1
-        for _ in range(mg.loops.get(v, 0) - (b - top) // 2):
+        for _ in range(k - (b - top) // 2):
             pair = (counter, counter + 1)
             gadget_edges.append(pair)
             decode[pair] = ("unused_loop", v)
@@ -475,16 +475,18 @@ def is_perfect(instance: MatchingInstance, matching: set[Edge]) -> bool:
     return covered == instance.n_nodes - len(singles)
 
 
-def _factor_from_gadget(g: Graph, mg: MultiGraph, a: int, b: int,
+def _factor_from_gadget(looped: tuple[Graph, int], a: int, b: int,
                         require_even: bool) -> Factor | None:
-    """Decide a factor by matching on the gadget of ``mg``: the even gadget
-    for degree b when ``require_even``, else the parity-free one for [a, b].
+    """Decide a factor by matching on the gadget of the looped graph
+    ``(g, k)``: the even gadget for degree b when ``require_even``, else the
+    parity-free one for [a, b].
 
-    ``mg`` carries g's edges under their own names, so the decoded edges form
-    the returned factor, which is re-verified against [a, b] (and parity when
+    The gadget names g's edges as they are, so the decoded edges form the
+    returned factor, which is re-verified against [a, b] (and parity when
     requested).
     """
-    instance = tutte_gadget(mg, b, None if require_even else a)
+    g, _ = looped
+    instance = tutte_gadget(looped, b, None if require_even else a)
     matching = max_matching(instance)
     if not is_perfect(instance, matching):
         return None
@@ -507,7 +509,7 @@ def find_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     _require_even_pair(a, b)
     if any(d < a for d in g.degrees):
         return None
-    return _factor_from_gadget(g, loop_augment(g, a, b), a, b, require_even=True)
+    return _factor_from_gadget(loop_augment(g, a, b), a, b, require_even=True)
 
 
 def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
@@ -524,5 +526,4 @@ def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     if any(d < a for d in g.degrees):
         return None
-    return _factor_from_gadget(g, MultiGraph.from_graph(g), a, b,
-                               require_even=False)
+    return _factor_from_gadget((g, 0), a, b, require_even=False)

@@ -174,8 +174,7 @@ def _vertex_pairs(n: int) -> list[Edge]:
     return list(itertools.combinations(range(n), 2))
 
 
-def graph_from_mask(n: int, mask: int, pairs: list[Edge] | None = None) -> Graph:
-    pairs = pairs if pairs is not None else _vertex_pairs(n)
+def graph_from_mask(n: int, mask: int, pairs: list[Edge]) -> Graph:
     edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
     return build_graph(n, edges)
 
@@ -282,6 +281,8 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     if source == "random":
         if seed is None or count is None:
             raise ValueError("random sweep requires explicit seed and count")
+        if count < 0:
+            raise ValueError(f"random sweep count must be nonnegative, got {count}")
         if n > SWEEP_RANDOM_CAP:
             raise ScaleError(
                 f"random sweep supports n <= {SWEEP_RANDOM_CAP}, got n={n}")

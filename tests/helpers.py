@@ -83,8 +83,7 @@ def encode_factor_as_perfect_matching(g: ef.Graph, a: int, b: int,
     match to each other, and the leftover ports pair off with the hard
     cores.  The result must be a perfect matching of the instance.
     """
-    mg = ef.loop_augment(g, a, b)
-    inst = ef.tutte_gadget(mg, b)
+    inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
     twin = {}
     soft_pairs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
     for e, info in inst.decode.items():

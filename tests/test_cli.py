@@ -291,6 +291,27 @@ def test_deleted_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in payload["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--n", "6", "--a", "2", "--b", "4", "--exhaustive",
+      "--seed", "5", "--count", "3"], "--exhaustive takes no --seed or --count"),
+    (["sweep", "--n", "6", "--a", "2", "--b", "4", "--exhaustive", "--count", "3"],
+     "--exhaustive takes no --seed or --count"),
+    (["sweep", "--n", "6", "--a", "2", "--b", "4", "--random",
+      "--seed", "1", "--count", "-3"], "count must be nonnegative"),
+    (["construct", "example1", "--a", "4", "--b", "12", "--t", "9", "--n", "5"],
+     "family example1 takes no --n"),
+    (["construct", "kxy", "--x", "2", "--y", "3", "--a", "2", "--t", "1"],
+     "family kxy takes no --a --t"),
+], ids=["sweep-exhaustive-seed-count", "sweep-exhaustive-count",
+        "sweep-random-negative-count", "construct-example1-n", "construct-kxy-a-t"])
+def test_ignored_flags_are_usage_errors(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    payload = last_json(out)
+    assert payload["kind"] == "usage"
+    assert message in payload["error"]
+
+
 def test_sweep_random_above_its_cap_is_a_scale_error(capsys):
     code, out = run(capsys, "sweep", "--n", str(spectral.SWEEP_RANDOM_CAP + 1),
                     "--a", "2", "--b", "4", "--random", "--count", "1",

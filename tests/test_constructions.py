@@ -15,11 +15,11 @@ def test_example1_reference_size():
 def test_example1_vertex_layout():
     g = ef.example1(4, 12, 9)
     y, z = 18, 19
-    assert g.has_edge(y, z)
-    assert g.neighbors(y) & frozenset(range(9)) == {0}          # a/2 - 1 = 1
-    assert g.neighbors(y) & frozenset(range(9, 18)) == {10, 11}  # a/2 .. a-1
-    assert g.neighbors(z) & frozenset(range(9, 18)) == {9}
-    assert g.neighbors(z) & frozenset(range(9)) == {1, 2}
+    assert (y, z) in g.edges
+    assert g.adjacency[y] & frozenset(range(9)) == {0}          # a/2 - 1 = 1
+    assert g.adjacency[y] & frozenset(range(9, 18)) == {10, 11}  # a/2 .. a-1
+    assert g.adjacency[z] & frozenset(range(9, 18)) == {9}
+    assert g.adjacency[z] & frozenset(range(9)) == {1, 2}
 
 
 def test_example1_rejects_small_t():
@@ -69,7 +69,7 @@ def test_example2_hub_layout():
     hubs = range(3)
     starts = [3 + i * 6 for i in range(4)] + [3 + 24]
     for j, hub in enumerate(hubs):
-        assert g.neighbors(hub) == frozenset(start + j for start in starts)
+        assert g.adjacency[hub] == frozenset(start + j for start in starts)
 
 
 def test_example2_rejects_t_above_interval():

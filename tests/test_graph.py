@@ -75,6 +75,12 @@ def test_components_after_deletion():
     assert ef.components_after_deletion(K4, range(4)) == []
 
 
+def _cut_size(g, s, t):
+    """Edges of g with one end in S and the other in T."""
+    s, t = set(s), set(t)
+    return sum(1 for u, v in g.edges if (u in s and v in t) or (v in s and u in t))
+
+
 def test_components_partition_properties():
     rng = random.Random(5)
     for _ in range(40):
@@ -90,16 +96,7 @@ def test_components_partition_properties():
                 g, set(range(g.n)) - cs) == [tuple(sorted(cs))]
         for i, c1 in enumerate(comps):
             for c2 in comps[i + 1:]:
-                assert ef.edge_cut(g, c1, c2) == 0
-
-
-def test_edge_cut():
-    assert ef.edge_cut(K4, {0}, {1, 2}) == 2
-    assert ef.edge_cut(K4, (), {1, 2, 3}) == 0
-    h = ef.example1(4, 12, 9)
-    assert ef.edge_cut(h, {18}, range(9)) == 1  # y into the first clique
-    with pytest.raises(ValueError, match="overlap"):
-        ef.edge_cut(K4, {0, 1}, {1, 2})
+                assert _cut_size(g, c1, c2) == 0
 
 
 def test_edge_connectivity():
@@ -126,8 +123,8 @@ def test_edge_connectivity_matches_bipartition_brute_force():
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
         best = min(
-            ef.edge_cut(g, [v for v in range(n) if (mask >> v) & 1],
-                        [v for v in range(n) if not (mask >> v) & 1])
+            _cut_size(g, [v for v in range(n) if (mask >> v) & 1],
+                      [v for v in range(n) if not (mask >> v) & 1])
             for mask in range(1, 1 << (n - 1)))
         assert ef.edge_connectivity(g) == best
 
@@ -227,21 +224,8 @@ def test_whitney_chain_on_connected_noncomplete():
     done = 0
     while done < 40:
         g = random_graph(rng, rng.randint(3, 9), rng.choice([0.4, 0.6, 0.8]))
-        if not ef.is_connected(g) or g.is_complete():
+        if not ef.is_connected(g) or g.m == g.n * (g.n - 1) // 2:
             continue
         done += 1
         _, delta, _ = ef.degree_profile(g)
         assert ef.vertex_connectivity(g) <= ef.edge_connectivity(g) <= delta
-
-
-def test_multigraph_round_trip():
-    g = ef.build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    mg = ef.MultiGraph.from_graph(g)
-    assert mg.to_graph() == g
-    loopy = ef.MultiGraph(2, {(0, 1): 1}, {0: 2})
-    assert loopy.degree(0) == 5  # one edge + two loops
-    assert loopy.degrees == (5, 1)
-    with pytest.raises(ValueError, match="loops"):
-        loopy.to_graph()
-    with pytest.raises(ValueError, match="parallel"):
-        ef.MultiGraph(2, {(0, 1): 2}, {}).to_graph()

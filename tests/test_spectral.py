@@ -47,7 +47,7 @@ def test_lambda1_is_the_largest_root_of_the_characteristic_polynomial():
     x = sympy.Symbol("x")
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
-        adj = sympy.Matrix(g.n, g.n, lambda i, j: int(g.has_edge(i, j)))
+        adj = sympy.Matrix(g.n, g.n, lambda i, j: int(j in g.adjacency[i]))
         roots = sympy.Poly(adj.charpoly(x).as_expr(), x).real_roots()
         assert ef.lambda1(g).lambda1 == pytest.approx(float(max(roots)), abs=1e-9)
 
@@ -72,10 +72,10 @@ def test_lambda1_strictly_increases_when_adding_an_edge():
     done = 0
     while done < 25:
         g = random_graph(rng, rng.randint(3, 9), 0.5)
-        if not ef.is_connected(g) or g.is_complete():
+        if not ef.is_connected(g) or g.m == g.n * (g.n - 1) // 2:
             continue
         non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                     if not g.has_edge(u, v)]
+                     if (u, v) not in g.edges]
         extra = rng.choice(non_edges)
         bigger = ef.build_graph(g.n, list(g.edges) + [extra])
         assert ef.lambda1(bigger).lambda1 > ef.lambda1(g).lambda1 + 1e-9
@@ -289,6 +289,9 @@ def test_sweep_includes_clique_as_present():
 def test_sweep_random_requires_seed():
     with pytest.raises(ValueError, match="seed"):
         ef.conjecture_sweep(5, 2, 2, source="random")
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        ef.conjecture_sweep(5, 2, 2, source="random", seed=9, count=-1)
+    assert ef.conjecture_sweep(5, 2, 2, source="random", seed=9, count=0) == []
     records = ef.conjecture_sweep(5, 2, 2, source="random", seed=9, count=64)
     assert ef.sweep_summary(records)["absent"] == 0
 
