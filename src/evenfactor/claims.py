@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .graph import build_graph, degree_profile, sigma2, edge_connectivity, \
     vertex_connectivity
-from .criteria import conjecture_conditions, order_threshold, parity_check, \
-    prop_f_eval
+from .criteria import conjecture_conditions, order_threshold, prop_f_eval, \
+    _deficiency_terms, _disjoint_sets, _require_even_pair
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import find_ab_factor, find_even_factor
 from .spectral import bipartite_threshold, classify_threshold, conjecture_sweep, \
@@ -23,6 +23,7 @@ from .spectral import bipartite_threshold, classify_threshold, conjecture_sweep,
 
 PARITY_SEED = 20240801
 PARITY_TRIALS = 10_000
+PARITY_PAIRS = ((2, 2), (2, 4), (4, 4), (4, 6))
 
 
 @dataclass(frozen=True)
@@ -44,24 +45,41 @@ def _random_graph(rng: random.Random, n: int, p: float):
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
-def claim_parity_invariance() -> ClaimRow:
-    """Deficiency value keeps the parity of a on random (G, S, T) samples."""
+def _parity_samples():
+    """The claim's seeded (G, S, T) samples, drawn in order."""
     rng = random.Random(PARITY_SEED)
-    pairs = [(2, 2), (2, 4), (4, 4), (4, 6)]
-    violations = 0
     for _ in range(PARITY_TRIALS):
         n = rng.randint(1, 10)
         g = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
         side = [rng.randrange(3) for _ in range(n)]
         s = tuple(v for v in range(n) if side[v] == 1)
         t = tuple(v for v in range(n) if side[v] == 2)
-        for a, b in pairs:
-            if not parity_check(g, a, b, s, t):
+        yield g, s, t
+
+
+def _pair_deficiencies(g, s, t) -> list[int]:
+    """``even_factor_deficiency(g, a, b, s, t)`` for each pair of
+    ``PARITY_PAIRS``, with S and T validated and the (a,b)-free terms
+    worked out once."""
+    ss, tt = _disjoint_sets(g, s, t)
+    q, e = _deficiency_terms(g, ss, tt)
+    ns, nt = len(ss), len(tt)
+    return [q - b * ns + a * nt - e for a, b in PARITY_PAIRS]
+
+
+def claim_parity_invariance() -> ClaimRow:
+    """Deficiency value keeps the parity of a on random (G, S, T) samples."""
+    for a, b in PARITY_PAIRS:
+        _require_even_pair(a, b)
+    violations = 0
+    for g, s, t in _parity_samples():
+        for (a, _), value in zip(PARITY_PAIRS, _pair_deficiencies(g, s, t)):
+            if value % 2 != a % 2:
                 violations += 1
     return ClaimRow(
         "parity-invariance",
         "deficiency parity equals the parity of the degree bounds",
-        {"trials": PARITY_TRIALS, "pairs": pairs, "seed": PARITY_SEED,
+        {"trials": PARITY_TRIALS, "pairs": list(PARITY_PAIRS), "seed": PARITY_SEED,
          "max_n": 10},
         {"violations": violations},
         violations == 0)

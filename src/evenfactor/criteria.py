@@ -119,13 +119,21 @@ def _odd_cut_q(g: Graph, ss: frozenset[int], tt: frozenset[int]) -> int:
                for comp in _components(g, ss | tt))
 
 
+def _deficiency_terms(g: Graph, ss: frozenset[int], tt: frozenset[int]
+                      ) -> tuple[int, int]:
+    """The (a,b)-free terms (q(S,T), sum_{v in T} d_{G-S}(v)) of the
+    deficiency, for validated disjoint S, T."""
+    adj = g.adjacency
+    return _odd_cut_q(g, ss, tt), sum(len(adj[v] - ss) for v in tt)
+
+
 def even_factor_deficiency(g: Graph, a: int, b: int,
                            s: Iterable[int], t: Iterable[int]) -> int:
     """Exact value of q(S,T) - b|S| + a|T| - sum_{v in T} d_{G-S}(v)."""
     _require_even_pair(a, b)
     ss, tt = _disjoint_sets(g, s, t)
-    deg_in_g_minus_s = sum(len(g.adjacency[v] - ss) for v in tt)
-    return _odd_cut_q(g, ss, tt) - b * len(ss) + a * len(tt) - deg_in_g_minus_s
+    q, e = _deficiency_terms(g, ss, tt)
+    return q - b * len(ss) + a * len(tt) - e
 
 
 def lovasz_deficiency(g: Graph, lower: Sequence[int], upper: Sequence[int],
@@ -461,8 +469,13 @@ def conjecture_conditions(g: Graph, a: int, b: int) -> ConditionReport:
 
 
 def prop_f_eval(a: int, b: int, n: int, p: int, x) -> Fraction:
-    """Exact value of n + (a - 1 - an/(a+b))x + (x - 1 - b)(ax - p)/b."""
+    """Exact value of n + (a - 1 - an/(a+b))x + (x - 1 - b)(ax - p)/b.
+
+    With x = xn/xd, the value is one fraction over b(a+b)xd^2.
+    """
     x = Fraction(x)
-    return (n
-            + (a - 1 - Fraction(a * n, a + b)) * x
-            + (x - 1 - b) * Fraction(a * x - p, b))
+    xn, xd = x.numerator, x.denominator
+    num = (b * (a + b) * n * xd * xd
+           + b * ((a - 1) * (a + b) - a * n) * xn * xd
+           + (a + b) * (xn - (1 + b) * xd) * (a * xn - p * xd))
+    return Fraction(num, b * (a + b) * xd * xd)

@@ -72,12 +72,16 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     edges: set[Edge] = set()
+    add = edges.add
     for i, (u, v) in enumerate(edge_list):
-        if not (0 <= u < n) or not (0 <= v < n):
+        if 0 <= u < v < n:
+            add((u, v))
+        elif 0 <= v < u < n:
+            add((v, u))
+        elif not (0 <= u < n) or not (0 <= v < n):
             raise ValueError(f"edge {i}: ({u},{v}) out of range for n={n}")
-        if u == v:
+        else:
             raise ValueError(f"edge {i}: self-loop ({u},{v}) not allowed")
-        edges.add((min(u, v), max(u, v)))
     return Graph(n, frozenset(edges))
 
 

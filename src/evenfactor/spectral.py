@@ -248,8 +248,9 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     Only the masks that pass both are built, eigensolved and, above rho,
     given a verdict, so the records equal those of building every
     degree-sorted graph.  They are returned in increasing mask order.
-    Random mode needs an explicit seed, skips masks by the same edge count,
-    and refuses n above ``SWEEP_RANDOM_CAP``.  Both modes run in one
+    Exhaustive mode refuses ``seed`` and ``count``.  Random mode needs an
+    explicit seed and count, skips masks by the same edge count, and refuses
+    n above ``SWEEP_RANDOM_CAP``.  Both modes run in one
     process.
     """
     if not (1 <= a <= b):
@@ -260,6 +261,12 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
         raise ValueError(f"sweeps run serially; jobs must be 1, got {jobs}")
     rho_value = rho(n, a)
     if source == "exhaustive":
+        given = {name: value for name, value in (("seed", seed), ("count", count))
+                 if value is not None}
+        if given:
+            raise ValueError(
+                f"exhaustive sweep takes no {' or '.join(given)}; got "
+                + ", ".join(f"{name}={value}" for name, value in given.items()))
         if n > SWEEP_EXHAUSTIVE_CAP:
             raise ScaleError(
                 f"exhaustive sweep supports n <= {SWEEP_EXHAUSTIVE_CAP}, got n={n}")

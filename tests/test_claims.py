@@ -1,4 +1,7 @@
+import itertools
+
 from evenfactor import claims
+from evenfactor.criteria import even_factor_deficiency
 
 
 def test_connectivity_gap_rows_are_pinned():
@@ -38,3 +41,35 @@ def test_connectivity_gap_claims_look_up_connectivity_at_call_time(monkeypatch):
     claims.claim_edge_connectivity_gap()
     claims.claim_vertex_connectivity_gap()
     assert calls == ["edge_connectivity", "vertex_connectivity"]
+
+
+def test_parity_claim_values_equal_the_deficiency():
+    # replays the claim's own draw sequence; each pair's value, built from
+    # the shared (a,b)-free terms, equals the public deficiency
+    checked = 0
+    for g, s, t in itertools.islice(claims._parity_samples(), 2000):
+        values = claims._pair_deficiencies(g, s, t)
+        assert values == [even_factor_deficiency(g, a, b, s, t)
+                          for a, b in claims.PARITY_PAIRS], (g, s, t)
+        checked += len(values)
+    assert checked == 8000
+
+
+def test_parity_invariance_row_is_pinned():
+    row = claims.claim_parity_invariance()
+    assert row.claim == "parity-invariance"
+    assert row.description == ("deficiency parity equals the parity of the "
+                               "degree bounds")
+    assert row.params == {"trials": 10_000,
+                          "pairs": [(2, 2), (2, 4), (4, 4), (4, 6)],
+                          "seed": 20240801, "max_n": 10}
+    assert row.observed == {"violations": 0}
+    assert row.passed is True
+
+
+def test_quadratic_sign_grid_row_is_pinned():
+    row = claims.claim_quadratic_sign_grid()
+    assert row.claim == "quadratic-sign-grid"
+    assert row.observed == {"evaluations": 528, "violations": [],
+                            "violation_count": 0}
+    assert row.passed is True

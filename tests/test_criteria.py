@@ -352,3 +352,22 @@ def test_prop_f_eval_third_term_vanishes_at_x_equal_b_plus_one():
 def test_prop_f_eval_accepts_rational_x():
     val = ef.prop_f_eval(4, 6, 15, 1, Fraction(7, 2))
     assert isinstance(val, Fraction)
+
+
+def test_prop_f_eval_equals_the_literal_formula():
+    # prop_f_eval folds the value into one numerator over b(a+b)xd^2; the
+    # formula here is evaluated term by term, as the paper writes it
+    cases = 0
+    for a in (1, 2, 4, 6):
+        for b in range(a, a + 21):
+            for n in (0, 1, a + b - 1, 2 * a + b, 2 * a + b + 7, 50):
+                for p in (0, 1, 2, 3):
+                    for x in (0, 1, b + 1, a + b - 3, Fraction(7, 3), Fraction(-5, 2)):
+                        x = Fraction(x)
+                        literal = (n + (a - 1 - Fraction(a * n, a + b)) * x
+                                   + (x - 1 - b) * (a * x - p) / Fraction(b))
+                        got = ef.prop_f_eval(a, b, n, p, x)
+                        assert isinstance(got, Fraction)
+                        assert got == literal, (a, b, n, p, x)
+                        cases += 1
+    assert cases == 4 * 21 * 6 * 4 * 6

@@ -3,6 +3,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evenfactor as ef
 from evenfactor.graph import _edge_flow_network
@@ -37,6 +39,52 @@ def test_build_graph_rejects_out_of_range_with_position():
 def test_build_graph_rejects_self_loop_with_position():
     with pytest.raises(ValueError, match=r"edge 2.*self-loop"):
         ef.build_graph(3, [(0, 1), (1, 2), (2, 2)])
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1), (-1, 2)], "edge 1: (-1,2) out of range for n=3"),
+    (3, [(1, 2), (0, 1), (3, 0)], "edge 2: (3,0) out of range for n=3"),
+    (3, [(0, 3)], "edge 0: (0,3) out of range for n=3"),
+    (3, [(0, 1), (3, 3)], "edge 1: (3,3) out of range for n=3"),
+    (3, [(2, 2)], "edge 0: self-loop (2,2) not allowed"),
+    (0, [(0, 0)], "edge 0: (0,0) out of range for n=0"),
+])
+def test_build_graph_error_messages(n, edges, message):
+    # a range error wins over a self-loop when u == v >= n
+    with pytest.raises(ValueError) as err:
+        ef.build_graph(n, edges)
+    assert str(err.value) == message
+
+
+def test_build_graph_reversed_duplicates_are_one_edge():
+    g = ef.build_graph(3, [(1, 0), (0, 1), (2, 1), (1, 2), (2, 1)])
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    assert g.adjacency == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+
+
+def _naive_build(n, edge_list):
+    edges = set()
+    for i, (u, v) in enumerate(edge_list):
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise ValueError(f"edge {i}: ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"edge {i}: self-loop ({u},{v}) not allowed")
+        edges.add((min(u, v), max(u, v)))
+    return edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 8),
+       st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=12))
+def test_build_graph_equals_a_naive_build(n, edge_list):
+    try:
+        expected = _naive_build(n, edge_list)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            ef.build_graph(n, edge_list)
+        assert str(got.value) == str(err)
+        return
+    assert ef.build_graph(n, edge_list).edges == expected
 
 
 def test_degree_sum_formula():

@@ -296,6 +296,18 @@ def test_sweep_random_requires_seed():
     assert ef.sweep_summary(records)["absent"] == 0
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": 5, "count": 3}, "takes no seed or count; got seed=5, count=3"),
+    ({"seed": 0}, "takes no seed; got seed=0"),
+    ({"count": 0}, "takes no count; got count=0"),
+])
+def test_sweep_exhaustive_rejects_seed_and_count(kwargs, message):
+    # both flags used to be dropped without a word
+    with pytest.raises(ValueError) as err:
+        ef.conjecture_sweep(5, 2, 2, source="exhaustive", **kwargs)
+    assert str(err.value) == f"exhaustive sweep {message}"
+
+
 def test_sweep_random_rejects_jobs():
     with pytest.raises(ValueError, match="jobs must be 1"):
         ef.conjecture_sweep(5, 2, 2, source="random", seed=9, count=8, jobs=2)
