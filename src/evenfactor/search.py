@@ -10,6 +10,11 @@ loops get no ports of their own and loops that every b-factor uses get no
 nodes at all.  For an [a,b]-factor of any parity, each vertex instead gets
 min(b, d) - a soft singles on its ports, which may stay exposed.  A factor
 exists iff a matching covers every node but the soft singles.
+The gadget is kept as per-vertex blocks in O(nodes + m) space: every node
+of a block has the same neighbours, so the matching reads them from one
+shared list per vertex, and no join is written out as an edge on the way
+to an answer (``MatchingInstance.edges`` and ``decode`` are views, expanded
+only when read).
 The matching starts from a greedy factor of the graph, its parity repaired
 where soft pairs take ports two at a time, with every hard core, soft
 single and soft pair then placed on the ports left free; on dense gadgets
@@ -23,8 +28,11 @@ small scale.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ScaleError
@@ -62,21 +70,48 @@ class MatchingInstance:
     """Gadget graph whose matchings covering every node but the soft singles
     encode the b-factors of a looped graph, or the [a,b]-factors of a graph.
 
-    ``ports[v]`` lists the gadget nodes standing for real edge endpoints at v,
-    ``cores[v]`` the hard cores completely joined to them and ``singles[v]``
-    the soft singles joined to them, which may stay exposed (empty in an
-    even gadget).  ``decode`` maps the gadget edge of each real edge to
-    ``("edge", (u, v))`` and the inner edge of each soft pair at v to
-    ``("unused_loop", v)``: matched, it leaves one of v's loops out of the
-    b-factor.  Gadget edges absent from it join cores or soft nodes to ports.
+    The gadget is stored as blocks, in O(nodes + m) space.  ``real`` lists
+    the host's edges in sorted order, and real edge i is the gadget edge
+    between the ports 2i and 2i+1.  ``ports[v]`` lists the gadget nodes
+    standing for real edge endpoints at v, ``cores[v]`` the hard cores
+    completely joined to them, ``singles[v]`` the soft singles joined to
+    them, which may stay exposed (empty in an even gadget), and ``pairs[v]``
+    the soft pairs, each pair's two nodes joined to each other and to every
+    port of v (empty in a parity-free gadget).  Matched, a soft pair's inner
+    edge leaves one of v's loops out of the b-factor.
+
+    ``edges`` and ``decode`` are views of the blocks, expanded on first read
+    and then cached; the matching never reads them.  ``edges`` lists every
+    gadget edge, the real edges first.  ``decode`` maps the gadget edge of
+    each real edge to ``("edge", (u, v))`` and the inner edge of each soft
+    pair at v to ``("unused_loop", v)``.
     """
 
     n_nodes: int
-    edges: tuple[Edge, ...]
-    decode: dict[Edge, tuple]
+    real: tuple[Edge, ...]
     ports: tuple[tuple[int, ...], ...]
     cores: tuple[tuple[int, ...], ...]
     singles: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[Edge, ...], ...]
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        out = [(2 * i, 2 * i + 1) for i in range(len(self.real))]
+        for v, ports in enumerate(self.ports):
+            for x in self.cores[v] + self.singles[v]:
+                out.extend((p, x) for p in ports)
+            for pair in self.pairs[v]:
+                out.append(pair)
+                out.extend((p, x) for x in pair for p in ports)
+        return tuple(out)
+
+    @cached_property
+    def decode(self) -> dict[Edge, tuple]:
+        out = {(2 * i, 2 * i + 1): ("edge", e) for i, e in enumerate(self.real)}
+        for v, pairs in enumerate(self.pairs):
+            for pair in pairs:
+                out[pair] = ("unused_loop", v)
+        return out
 
 
 def verify_factor(g: Graph, factor: Factor, a: int, b: int,
@@ -163,10 +198,20 @@ def brute_force_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     return _degree_interval_search(g, a, b, require_even=True)
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse a bound or count that is not an integer, naming it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def loop_augment(g: Graph, a: int, b: int) -> tuple[Graph, int]:
     """The looped graph ``(g, k)``: g with k = (b-a)/2 loops at every vertex,
     which lift every degree by b-a, so that an even [a,b]-factor of g is a
     b-factor of it."""
+    _require_int("a", a)
+    _require_int("b", b)
     _require_even_pair(a, b)
     return g, (b - a) // 2
 
@@ -198,6 +243,12 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
     Vertices with d < a fail fast, naming one.
     """
     g, k = looped
+    _require_int("b", b)
+    if a is not None:
+        _require_int("a", a)
+    _require_int("loop count k of looped = (g, k)", k)
+    if k < 0:
+        raise ValueError(f"loop count k of looped = (g, k) must be >= 0, got {k}")
     if a is not None and k:
         raise ValueError("the parity-free gadget takes a loop-free graph, k = 0")
     low = b if a is None else a
@@ -205,45 +256,35 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
         if d + 2 * k < low:
             raise ValueError(
                 f"vertex {v} has augmented degree {d + 2 * k} < {low}; no factor exists")
+    real = g.sorted_edges()
     ports: list[list[int]] = [[] for _ in range(g.n)]
-    cores: list[list[int]] = [[] for _ in range(g.n)]
-    singles: list[list[int]] = [[] for _ in range(g.n)]
-    gadget_edges: list[Edge] = []
-    decode: dict[Edge, tuple] = {}
-    counter = 0
-    for (u, v) in g.sorted_edges():
-        ports[u].append(counter)
-        ports[v].append(counter + 1)
-        gadget_edges.append((counter, counter + 1))
-        decode[(counter, counter + 1)] = ("edge", (u, v))
-        counter += 2
-    for v in range(g.n):
-        d = len(ports[v])
+    for i, (u, v) in enumerate(real):
+        ports[u].append(2 * i)
+        ports[v].append(2 * i + 1)
+    cores, singles, pairs = [], [], []
+    counter = 2 * len(real)
+    for v_ports in ports:
+        d = len(v_ports)
         top = min(b, d)
         if a is None:
             top -= (b - top) % 2
-        for _ in range(d - top):
-            cores[v].append(counter)
-            gadget_edges.extend((p, counter) for p in ports[v])
-            counter += 1
-        for _ in range(0 if a is None else top - a):
-            singles[v].append(counter)
-            gadget_edges.extend((p, counter) for p in ports[v])
-            counter += 1
-        for _ in range(k - (b - top) // 2):
-            pair = (counter, counter + 1)
-            gadget_edges.append(pair)
-            decode[pair] = ("unused_loop", v)
-            gadget_edges.extend((p, s) for s in pair for p in ports[v])
-            counter += 2
+        n_cores = d - top
+        n_singles = 0 if a is None else max(0, top - a)
+        n_pairs = max(0, k - (b - top) // 2)
+        cores.append(tuple(range(counter, counter + n_cores)))
+        counter += n_cores
+        singles.append(tuple(range(counter, counter + n_singles)))
+        counter += n_singles
+        pairs.append(tuple((x, x + 1) for x in range(counter, counter + 2 * n_pairs, 2)))
+        counter += 2 * n_pairs
 
     return MatchingInstance(
         n_nodes=counter,
-        edges=tuple(gadget_edges),
-        decode=decode,
+        real=tuple(real),
         ports=tuple(tuple(p) for p in ports),
-        cores=tuple(tuple(c) for c in cores),
-        singles=tuple(tuple(s) for s in singles),
+        cores=tuple(cores),
+        singles=tuple(singles),
+        pairs=tuple(pairs),
     )
 
 
@@ -271,6 +312,21 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
     and blossom marks are integer stamps in arrays allocated once per call,
     so a search costs time in proportion to its tree, not to n (Gabow 1976).
     """
+    return _blossom_matching(n, adj, [()] * n, [None] * n, init, optional)
+
+
+def _blossom_matching(n: int, own: Sequence[Sequence[int]],
+                      shared: Sequence[Sequence[int]],
+                      home: Sequence[Sequence[int] | None],
+                      init: Sequence[int] | None,
+                      optional: Iterable[int]) -> list[int]:
+    """The kernel of :func:`maximum_cardinality_matching` on a graph given
+    as two neighbour lists per node: v's neighbours are ``own[v]`` followed
+    by ``shared[v]``.  A shared list is one object read by many nodes, and
+    ``home[u]`` is the shared list that holds u (None if none does), so the
+    ``init`` check decides "u is a neighbour of v" by ``u in own[v]`` or
+    ``home[u] is shared[v]``: O(1) per node when the own lists are short.
+    """
     if init is None:
         mate = [-1] * n
     else:
@@ -278,14 +334,15 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
         if len(mate) != n:
             raise ValueError(f"init has {len(mate)} entries, expected {n}")
         for v, u in enumerate(mate):
-            if u >= 0 and (u >= n or mate[u] != v or u not in adj[v]):
+            if u >= 0 and (u >= n or mate[u] != v
+                           or (u not in own[v] and home[u] is not shared[v])):
                 raise ValueError(f"init pairs {v} with {u}, not a matching edge")
     is_optional = [False] * n
     for v in optional:
         is_optional[v] = True
     for v in range(n):
         if mate[v] < 0 and not is_optional[v]:
-            for u in adj[v]:
+            for u in chain(own[v], shared[v]):
                 if mate[u] < 0:
                     mate[v] = u
                     mate[u] = v
@@ -341,7 +398,7 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in adj[v]:
+            for to in chain(own[v], shared[v]):
                 if base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
@@ -416,37 +473,29 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
     On dense gadgets this leaves only a few nodes exposed for the greedy
     and the alternating-tree searches of
     :func:`maximum_cardinality_matching` to finish.  Soft singles are its
-    optional nodes.
+    optional nodes.  The searches read the gadget's blocks through shared
+    per-vertex lists (:func:`_gadget_lists`), in O(nodes + m) space; the
+    ``edges`` and ``decode`` views are never expanded here.
     """
     n = instance.n_nodes
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in instance.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    real, pairs = instance.real, instance.pairs
     mate = [-1] * n
     room = [len(p) - len(c) for p, c in zip(instance.ports, instance.cores)]
-    pairs: list[list[Edge]] = [[] for _ in room]
-    real: list[tuple[int, int, int, int]] = []
-    for (p, q), (kind, x) in instance.decode.items():
-        if kind == "edge":
-            real.append((p, q, *x))
-        else:
-            pairs[x].append((p, q))
     slack = [2 * len(ps) + len(s) for ps, s in zip(pairs, instance.singles)]
     for floor in (slack, [0] * len(room)):
-        for p, q, u, v in real:
+        for p, (u, v) in zip(range(0, 2 * len(real), 2), real):
             if mate[p] < 0 and room[u] > floor[u] and room[v] > floor[v]:
-                mate[p], mate[q] = q, p
+                mate[p], mate[p + 1] = p + 1, p
                 room[u] -= 1
                 room[v] -= 1
     if any(pairs):
-        for p, q, u, v in real:
+        for p, (u, v) in zip(range(0, 2 * len(real), 2), real):
             if pairs[u] and pairs[v] and room[u] % 2 and room[v] % 2:
-                if mate[p] == q:
-                    mate[p] = mate[q] = -1
+                if mate[p] == p + 1:
+                    mate[p] = mate[p + 1] = -1
                     step = 1
                 else:
-                    mate[p], mate[q] = q, p
+                    mate[p], mate[p + 1] = p + 1, p
                     step = -1
                 room[u] += step
                 room[v] += step
@@ -463,16 +512,47 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
             else:
                 mate[x], mate[y] = y, x
     optional = [s for singles in instance.singles for s in singles]
-    mate = maximum_cardinality_matching(n, adj, mate, optional)
+    mate = _blossom_matching(n, *_gadget_lists(instance), mate, optional)
     return {(v, mate[v]) for v in range(n) if 0 <= v < mate[v]}
+
+
+def _gadget_lists(instance: MatchingInstance):
+    """The gadget's neighbour lists for :func:`_blossom_matching`, in O(nodes)
+    space: ``(own, shared, home)``.
+
+    A port's own neighbour is its real edge's other port, and its shared
+    list is its vertex's block: the hard cores, soft singles and soft-pair
+    nodes of that vertex.  A block node's shared list is its vertex's
+    ports, and a soft-pair node's own neighbour is its twin.  Each vertex's
+    block and port list are one object each, read by every node that
+    neighbours them, and ``home`` maps each node to the one that holds it.
+    """
+    n = instance.n_nodes
+    n_ports = 2 * len(instance.real)
+    own: list[tuple[int, ...]] = [()] * n
+    own[:n_ports] = [(p ^ 1,) for p in range(n_ports)]
+    shared: list[tuple[int, ...]] = [()] * n
+    home: list[tuple[int, ...] | None] = [None] * n
+    for v, ports in enumerate(instance.ports):
+        nodes = (*instance.cores[v], *instance.singles[v],
+                 *chain.from_iterable(instance.pairs[v]))
+        for x in nodes:
+            shared[x] = ports
+            home[x] = nodes
+        for x, y in instance.pairs[v]:
+            own[x], own[y] = (y,), (x,)
+        for p in ports:
+            shared[p] = nodes
+            home[p] = ports
+    return own, shared, home
 
 
 def is_perfect(instance: MatchingInstance, matching: set[Edge]) -> bool:
     """True iff the matching covers every gadget node but the soft singles:
     a perfect matching of an even gadget."""
-    singles = {s for per_vertex in instance.singles for s in per_vertex}
-    covered = sum(1 for e in matching for x in e if x not in singles)
-    return covered == instance.n_nodes - len(singles)
+    singles = set(chain.from_iterable(instance.singles))
+    covered = set(chain.from_iterable(matching)) - singles
+    return len(covered) == instance.n_nodes - len(singles)
 
 
 def _factor_from_gadget(looped: tuple[Graph, int], a: int, b: int,
@@ -490,10 +570,10 @@ def _factor_from_gadget(looped: tuple[Graph, int], a: int, b: int,
     matching = max_matching(instance)
     if not is_perfect(instance, matching):
         return None
-    chosen = [info[1] for e in matching
-              for info in (instance.decode.get(e),)
-              if info is not None and info[0] == "edge"]
-    factor = Factor.from_edges(g, chosen)
+    # Only a real edge joins two ports, and real edge i is (2i, 2i+1).
+    ports_end = 2 * len(instance.real)
+    factor = Factor.from_edges(
+        g, [instance.real[p >> 1] for p, q in matching if q < ports_end])
     if not verify_factor(g, factor, a, b, require_even):
         raise RuntimeError("internal error: decoded factor failed verification")
     return factor
@@ -506,6 +586,8 @@ def find_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     Any returned factor is re-verified.  Vertices of degree below a make the
     answer absent immediately.
     """
+    _require_int("a", a)
+    _require_int("b", b)
     _require_even_pair(a, b)
     if any(d < a for d in g.degrees):
         return None
@@ -522,6 +604,8 @@ def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
     with prescribed valencies"; Anstee 1985).  Any returned factor is
     re-verified.  Vertices of degree below a make the answer absent at once.
     """
+    _require_int("a", a)
+    _require_int("b", b)
     if not (0 <= a <= b):
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     if any(d < a for d in g.degrees):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import evenfactor as ef
 
@@ -24,6 +25,64 @@ def random_graph_edge_capped(rng: random.Random, n: int, p: float,
         return g
     kept = rng.sample(sorted(g.edges), cap)
     return ef.build_graph(n, kept)
+
+
+def explicit_gadget(looped: tuple[ef.Graph, int], b: int,
+                    a: int | None = None) -> SimpleNamespace:
+    """Reference port/core gadget, built edge by edge.
+
+    The same gadget as ``ef.tutte_gadget`` with every join written out as an
+    edge tuple: real edge i is (2i, 2i+1), then per vertex its hard cores,
+    soft singles and soft pairs, each joined to every port of the vertex.
+    Returns ``n_nodes``, ``edges``, ``decode``, ``ports``, ``cores`` and
+    ``singles`` with the library's numbering and order.
+    """
+    g, k = looped
+    ports = [[] for _ in range(g.n)]
+    cores = [[] for _ in range(g.n)]
+    singles = [[] for _ in range(g.n)]
+    edges = []
+    decode = {}
+    counter = 0
+    for (u, v) in g.sorted_edges():
+        ports[u].append(counter)
+        ports[v].append(counter + 1)
+        edges.append((counter, counter + 1))
+        decode[(counter, counter + 1)] = ("edge", (u, v))
+        counter += 2
+    for v in range(g.n):
+        d = len(ports[v])
+        top = min(b, d)
+        if a is None:
+            top -= (b - top) % 2
+        for _ in range(d - top):
+            cores[v].append(counter)
+            edges.extend((p, counter) for p in ports[v])
+            counter += 1
+        for _ in range(0 if a is None else top - a):
+            singles[v].append(counter)
+            edges.extend((p, counter) for p in ports[v])
+            counter += 1
+        for _ in range(k - (b - top) // 2):
+            pair = (counter, counter + 1)
+            edges.append(pair)
+            decode[pair] = ("unused_loop", v)
+            edges.extend((p, s) for s in pair for p in ports[v])
+            counter += 2
+    return SimpleNamespace(
+        n_nodes=counter, edges=tuple(edges), decode=decode,
+        ports=tuple(tuple(p) for p in ports),
+        cores=tuple(tuple(c) for c in cores),
+        singles=tuple(tuple(s) for s in singles))
+
+
+def gadget_adjacency(n: int, edges) -> list[list[int]]:
+    """Adjacency lists of an explicit edge list, one append per edge end."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def exhaustive_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
@@ -115,7 +174,7 @@ def encode_factor_as_perfect_matching(g: ef.Graph, a: int, b: int,
         for p, c in zip(free_ports, inst.cores[v]):
             take(p, c)
 
-    edge_set = set(inst.edges)
+    edge_set = set(explicit_gadget(ef.loop_augment(g, a, b), b).edges)
     assert matched <= edge_set
     assert len(used) == inst.n_nodes
     return matched

@@ -1,14 +1,18 @@
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
 
 import evenfactor as ef
+from evenfactor import search
 from evenfactor.search import _degree_interval_search
 from helpers import (
     encode_factor_as_perfect_matching,
     exhaustive_matching_size,
+    explicit_gadget,
+    gadget_adjacency,
     random_graph,
     random_graph_edge_capped,
 )
@@ -184,6 +188,71 @@ def test_gadget_node_count_even_for_even_targets():
         assert inst.n_nodes % 2 == 0
 
 
+def _assert_gadget_equals_reference(looped, b, a=None):
+    inst = ef.tutte_gadget(looped, b, a)
+    ref = explicit_gadget(looped, b, a)
+    assert inst.n_nodes == ref.n_nodes
+    assert (inst.ports, inst.cores, inst.singles) == (ref.ports, ref.cores, ref.singles)
+    assert inst.edges == ref.edges
+    assert list(inst.decode.items()) == list(ref.decode.items())
+    assert inst.real == tuple(looped[0].sorted_edges())
+    assert [list(p) for p in inst.pairs] == [
+        [e for e, info in ref.decode.items() if info == ("unused_loop", v)]
+        for v in range(looped[0].n)]
+
+
+def test_gadget_blocks_equal_the_explicit_gadget_on_random_graphs():
+    # The blocks and their lazy edges/decode views against the gadget built
+    # edge by edge, on both gadget kinds.
+    rng = random.Random(44)
+    even = parity_free = 0
+    while even < 300 or parity_free < 300:
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 1.0))
+        if rng.random() < 0.5:
+            a, b = rng.choice([(2, 2), (2, 4), (4, 4), (2, 6), (4, 8), (2, 10)])
+            if min(g.degrees) < a:
+                continue
+            even += 1
+            _assert_gadget_equals_reference(ef.loop_augment(g, a, b), b)
+        else:
+            a, b = rng.choice([(0, 0), (0, 1), (1, 3), (2, 2), (2, 5), (3, 4), (2, 6)])
+            if min(g.degrees) < a:
+                continue
+            parity_free += 1
+            _assert_gadget_equals_reference((g, 0), b, a)
+
+
+@pytest.mark.parametrize("g, a, b", [
+    (ef.example1(4, 12, 9), 4, 12),
+    (ef.example2(4, 24, 6), 4, 24),
+    (ef.complete_graph(8), 2, 6),
+], ids=["example1_4_12_9", "example2_4_24_6", "K8_2_6"])
+def test_gadget_blocks_equal_the_explicit_gadget_on_families(g, a, b):
+    _assert_gadget_equals_reference(ef.loop_augment(g, a, b), b)
+    _assert_gadget_equals_reference((g, 0), b, a)
+
+
+def test_gadget_rejects_non_integer_bounds_and_negative_loops():
+    k3 = ef.complete_graph(3)
+    cases = [
+        (lambda: ef.tutte_gadget((k3, -1), 2),
+         "loop count k of looped = (g, k) must be >= 0, got -1"),
+        (lambda: ef.tutte_gadget((k3, 0.5), 2),
+         "loop count k of looped = (g, k) must be an integer, got 0.5"),
+        (lambda: ef.tutte_gadget((k3, 0), 2.0), "b must be an integer, got 2.0"),
+        (lambda: ef.tutte_gadget((k3, 0), 2, 1.0), "a must be an integer, got 1.0"),
+        (lambda: ef.loop_augment(C4, 2, 4.0), "b must be an integer, got 4.0"),
+        (lambda: ef.find_even_factor(K5, 2.0, 4), "a must be an integer, got 2.0"),
+        (lambda: ef.find_even_factor(K5, 2, 4.0), "b must be an integer, got 4.0"),
+        (lambda: ef.find_ab_factor(K4, 1.5, 3), "a must be an integer, got 1.5"),
+        (lambda: ef.find_ab_factor(K4, 1, "3"), "b must be an integer, got '3'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 # ------------------------------------------------------------- max_matching
 
 def test_matching_small_cliques():
@@ -229,8 +298,9 @@ def test_matching_on_gadget_instances_matches_oracle():
             continue
         checked += 1
         matching = ef.max_matching(inst)
+        ref = explicit_gadget(ef.loop_augment(g, a, b), b)
         assert len(matching) == exhaustive_matching_size(
-            inst.n_nodes, sorted(inst.edges))
+            ref.n_nodes, sorted(ref.edges))
 
 
 def _networkx_matching_size(n, edges):
@@ -247,19 +317,11 @@ def _assert_valid_mate(mate, adj):
             assert u in adj[v]
 
 
-def _assert_valid_gadget_matching(inst, matching):
-    edges = set(inst.edges)
+def _assert_valid_gadget_matching(ref, matching):
+    edges = set(ref.edges)
     assert matching <= edges
     covered = [v for e in matching for v in e]
     assert len(covered) == len(set(covered))
-
-
-def _gadget_adjacency(inst):
-    adj = [[] for _ in range(inst.n_nodes)]
-    for u, v in inst.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def test_matching_agrees_with_networkx_on_random_graphs():
@@ -284,13 +346,14 @@ def test_matching_agrees_with_networkx_on_random_graphs():
 ], ids=["example1_4_12_9", "example2_4_24_6", "K8_2_6", "K9_2_2"])
 def test_matching_on_family_gadgets_agrees_with_networkx(g, a, b):
     inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
-    expected = _networkx_matching_size(inst.n_nodes, inst.edges)
-    adj = _gadget_adjacency(inst)
-    mate = ef.maximum_cardinality_matching(inst.n_nodes, adj)
+    ref = explicit_gadget(ef.loop_augment(g, a, b), b)
+    expected = _networkx_matching_size(ref.n_nodes, ref.edges)
+    adj = gadget_adjacency(ref.n_nodes, ref.edges)
+    mate = ef.maximum_cardinality_matching(ref.n_nodes, adj)
     _assert_valid_mate(mate, adj)
     assert sum(1 for v in mate if v >= 0) // 2 == expected
     matching = ef.max_matching(inst)
-    _assert_valid_gadget_matching(inst, matching)
+    _assert_valid_gadget_matching(ref, matching)
     assert len(matching) == expected
 
 
@@ -307,9 +370,10 @@ def test_warm_started_gadget_matching_agrees_with_networkx():
             continue
         checked += 1
         inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
+        ref = explicit_gadget(ef.loop_augment(g, a, b), b)
         matching = ef.max_matching(inst)
-        _assert_valid_gadget_matching(inst, matching)
-        assert len(matching) == _networkx_matching_size(inst.n_nodes, inst.edges)
+        _assert_valid_gadget_matching(ref, matching)
+        assert len(matching) == _networkx_matching_size(ref.n_nodes, ref.edges)
         covered = {v for e in matching for v in e}
         assert all(c in covered for cores in inst.cores for c in cores)
 
@@ -342,24 +406,27 @@ def test_matching_with_optional_nodes_covers_the_most_required_nodes():
         assert size == _networkx_matching_size(n, g.sorted_edges())
 
 
-def _assert_warm_matches_cold(inst):
+def _assert_warm_matches_cold(looped, b, a=None):
     """max_matching's greedy warm start against matching from scratch and
-    networkx: the same count of covered required nodes (on an even gadget,
-    the same size), the same perfect verdict, and every hard core covered."""
-    adj = _gadget_adjacency(inst)
-    singles = {s for per_vertex in inst.singles for s in per_vertex}
+    networkx on the explicit reference gadget: the same count of covered
+    required nodes (on an even gadget, the same size), the same perfect
+    verdict, and every hard core covered."""
+    inst = ef.tutte_gadget(looped, b, a)
+    ref = explicit_gadget(looped, b, a)
+    adj = gadget_adjacency(ref.n_nodes, ref.edges)
+    singles = {s for per_vertex in ref.singles for s in per_vertex}
     warm = ef.max_matching(inst)
-    _assert_valid_gadget_matching(inst, warm)
+    _assert_valid_gadget_matching(ref, warm)
     mate = ef.maximum_cardinality_matching(inst.n_nodes, adj, optional=singles)
     _assert_valid_mate(mate, adj)
     cold = {(v, u) for v, u in enumerate(mate) if v < u}
     if singles:
         def cover(matching):
             return sum(v not in singles for e in matching for v in e)
-        expected = _networkx_required_cover(inst.n_nodes, inst.edges, singles)
+        expected = _networkx_required_cover(ref.n_nodes, ref.edges, singles)
         assert cover(warm) == cover(cold) == expected
     else:
-        expected = _networkx_matching_size(inst.n_nodes, inst.edges)
+        expected = _networkx_matching_size(ref.n_nodes, ref.edges)
         assert len(warm) == len(cold) == expected
     assert ef.is_perfect(inst, warm) == ef.is_perfect(inst, cold)
     covered = {v for e in warm for v in e}
@@ -386,12 +453,10 @@ def test_warm_start_agrees_with_cold_start_on_random_gadgets():
             continue
         if even < 100:
             even += 1
-            inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
-            perfect[_assert_warm_matches_cold(inst)] += 1
+            perfect[_assert_warm_matches_cold(ef.loop_augment(g, a, b), b)] += 1
         if parity_free < 100:
             parity_free += 1
-            inst = ef.tutte_gadget((g, 0), b, a)
-            perfect[_assert_warm_matches_cold(inst)] += 1
+            perfect[_assert_warm_matches_cold((g, 0), b, a)] += 1
     assert min(perfect.values()) >= 40
 
 
@@ -402,8 +467,8 @@ def test_warm_start_agrees_with_cold_start_on_random_gadgets():
     (ef.complete_graph(9), 2, 2),
 ], ids=["example1_4_12_9", "example2_4_24_6", "K8_2_6", "K9_2_2"])
 def test_warm_start_agrees_with_cold_start_on_family_gadgets(g, a, b):
-    _assert_warm_matches_cold(ef.tutte_gadget(ef.loop_augment(g, a, b), b))
-    _assert_warm_matches_cold(ef.tutte_gadget((g, 0), b, a))
+    _assert_warm_matches_cold(ef.loop_augment(g, a, b), b)
+    _assert_warm_matches_cold((g, 0), b, a)
 
 
 def test_matching_init_is_extended_to_a_maximum_matching():
@@ -423,6 +488,79 @@ def test_matching_init_must_be_a_matching():
         ef.maximum_cardinality_matching(4, adj, [2, -1, 0, -1])
     with pytest.raises(ValueError, match="entries"):
         ef.maximum_cardinality_matching(4, adj, [-1, -1])
+
+
+def test_decision_path_never_expands_the_edge_views(monkeypatch):
+    inst = ef.tutte_gadget(ef.loop_augment(ef.complete_graph(8), 2, 6), 6)
+    ef.is_perfect(inst, ef.max_matching(inst))
+    assert "edges" not in vars(inst) and "decode" not in vars(inst)
+    built = []
+    build = search.tutte_gadget
+
+    def recording_gadget(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(search, "tutte_gadget", recording_gadget)
+    assert ef.find_even_factor(ef.complete_graph(8), 2, 6) is not None
+    assert ef.find_ab_factor(ef.complete_graph(8), 2, 5) is not None
+    assert ef.find_even_factor(ef.example1(4, 12, 9), 4, 12) is None
+    assert len(built) == 3
+    for inst in built:
+        assert "edges" not in vars(inst) and "decode" not in vars(inst)
+
+
+def test_find_even_factor_on_k60_stays_small():
+    # K_60 [2,58] has 6960 gadget nodes and 205k gadget edges.  Measured
+    # with tracemalloc: the edge-by-edge gadget peaked at 19.0 MB; the
+    # implicit blocks peak at 1.8 MB.
+    tracemalloc.start()
+    try:
+        factor = ef.find_even_factor(ef.complete_graph(60), 2, 58)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor is not None
+    assert peak < 6_000_000
+
+
+def _blossom_on_gadget(inst, mate):
+    return search._blossom_matching(inst.n_nodes, *search._gadget_lists(inst),
+                                    mate, ())
+
+
+def test_matching_init_on_an_implicit_gadget_must_use_gadget_edges():
+    # K_10 at [2,6]: 9 ports, 3 hard cores and 2 soft pairs per vertex.
+    inst = ef.tutte_gadget(ef.loop_augment(ef.complete_graph(10), 2, 6), 6)
+    ports, cores, pairs = inst.ports, inst.cores, inst.pairs
+    assert len(cores[0]) == 3 and len(pairs[0]) == 2
+    partner = next(p for p in ports[1] if p == ports[0][0] ^ 1)
+    not_partner = next(p for p in ports[1] if p != ports[0][0] ^ 1)
+    bad = {
+        "core with another vertex's port": (cores[0][0], ports[1][0]),
+        "two cores of one vertex": (cores[0][0], cores[0][1]),
+        "port with a port of its own vertex": (ports[0][0], ports[0][1]),
+        "port with a port that is not its partner": (ports[0][0], not_partner),
+        "soft-pair node with another pair's node": (pairs[0][0][0], pairs[0][1][1]),
+        "soft-pair node with another vertex's pair": (pairs[0][0][0], pairs[1][0][0]),
+        "soft-pair node with another vertex's port": (pairs[0][0][1], ports[1][0]),
+    }
+    for case, (x, y) in bad.items():
+        mate = [-1] * inst.n_nodes
+        mate[x], mate[y] = y, x
+        with pytest.raises(ValueError, match="not a matching edge"):
+            _blossom_on_gadget(inst, mate)
+    good = [(ports[0][0], partner), (cores[0][0], ports[0][1]),
+            (pairs[0][0][0], pairs[0][0][1]), (pairs[0][1][0], ports[0][2]),
+            (ports[1][1], cores[1][2])]
+    mate = [-1] * inst.n_nodes
+    for x, y in good:
+        mate[x], mate[y] = y, x
+    mate = _blossom_on_gadget(inst, mate)
+    matching = {(v, u) for v, u in enumerate(mate) if v < u}
+    ref = explicit_gadget(ef.loop_augment(ef.complete_graph(10), 2, 6), 6)
+    _assert_valid_gadget_matching(ref, matching)
+    assert 2 * len(matching) == inst.n_nodes
 
 
 # --------------------------------------------------------- find_even_factor
