@@ -18,10 +18,12 @@ only when read).
 The matching starts from a greedy factor of the graph, its parity repaired
 where soft pairs take ports two at a time, with every hard core, soft
 single and soft pair then placed on the ports left free; on dense gadgets
-this leaves only a handful of nodes exposed.  It roots its
-searches only at nodes that must be covered, and each search then works
-only on the vertices it labels, so its cost follows the search tree rather
-than the size of the gadget.
+this leaves only a handful of nodes exposed, and no second greedy pass
+runs before the searches.  It roots its searches only at nodes that must be
+covered, and each search then works only on the vertices it labels, so its
+cost follows the search tree rather than the size of the gadget.  Blossom
+bases are kept in a union-find, so a blossom contraction costs the
+blossom's path, not the search tree.
 A brute-force edge-subset search provides the independent ground truth at
 small scale.
 """
@@ -240,13 +242,18 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
     soft singles, each joined to every port of v.  A matching that covers
     every port and hard core leaves between a and top ports to real edges,
     so such matchings correspond exactly to [a,b]-factors (Lovász 1970).
-    Vertices with d < a fail fast, naming one.
+    Vertices with d < a fail fast, naming one.  Bounds outside 0 <= b, or
+    0 <= a <= b when a is given, raise ValueError.
     """
     g, k = looped
     _require_int("b", b)
     if a is not None:
         _require_int("a", a)
     _require_int("loop count k of looped = (g, k)", k)
+    if a is None and b < 0:
+        raise ValueError(f"need 0 <= b, got b={b}")
+    if a is not None and not 0 <= a <= b:
+        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     if k < 0:
         raise ValueError(f"loop count k of looped = (g, k) must be >= 0, got {k}")
     if a is not None and k:
@@ -298,19 +305,20 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
     Nodes in ``optional`` may stay exposed; every other node is required.
     With no optional nodes the result is a maximum matching.  ``init`` is an
     optional starting matching as a mate array; it must be symmetric and use
-    only edges of ``adj`` (ValueError otherwise).  A vertex-order greedy
-    extends it, then one search runs from every required node still exposed;
-    optional nodes are never roots.  A search ends at an exposed node
-    (augment) or at a matched optional node that becomes even (outer);
-    flipping the even alternating path to it covers the root and exposes
-    that node.  Either way every covered required node stays covered, so the
-    covered required nodes grow as in the greedy algorithm on the matching
-    matroid, and a root no search can cover stays uncoverable.  Each search
-    records the vertices it labels and does its work on that list only:
-    blossom relabelling walks it, and afterwards only those vertices have
-    ``parent``, ``base`` and ``in_queue`` reset.  The lowest-common-ancestor
-    and blossom marks are integer stamps in arrays allocated once per call,
-    so a search costs time in proportion to its tree, not to n (Gabow 1976).
+    only edges of ``adj`` (ValueError otherwise).  One search runs from every
+    required node left exposed, with no greedy pass first: a search's first
+    step already matches its root to an exposed neighbour.  Optional nodes
+    are never roots.  A search ends at an exposed node (augment) or at a
+    matched optional node that becomes even (outer); flipping the even
+    alternating path to it covers the root and exposes that node.  Either
+    way every covered required node stays covered, so the covered required
+    nodes grow as in the greedy algorithm on the matching matroid, and a
+    root no search can cover stays uncoverable.  Blossom bases are a
+    union-find with path halving (Gabow 1976; Tarjan 1983, ch. 9): a
+    contraction walks each side of the blossom up to the lowest common
+    ancestor and points each set root it meets there, so it costs the
+    blossom's path, not the tree.  Only the nodes a search labels are reset
+    after it, so a search costs time in proportion to its tree, not to n.
     """
     return _blossom_matching(n, adj, [()] * n, [None] * n, init, optional)
 
@@ -340,41 +348,43 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
     is_optional = [False] * n
     for v in optional:
         is_optional[v] = True
-    for v in range(n):
-        if mate[v] < 0 and not is_optional[v]:
-            for u in chain(own[v], shared[v]):
-                if mate[u] < 0:
-                    mate[v] = u
-                    mate[u] = v
-                    break
 
     parent = [-1] * n
     base = list(range(n))
-    in_queue = [False] * n
-    lca_mark = [0] * n
-    blossom_mark = [0] * n
-    stamp = 0
+    even = [False] * n
+
+    def find(x: int) -> int:
+        while base[x] != x:
+            base[x] = base[base[x]]
+            x = base[x]
+        return x
 
     def find_lca(x: int, y: int) -> int:
+        """Base of the lowest blossom above x and y, sought from both in turn."""
+        seen = set()
+        x, y = find(x), find(y)
         while True:
-            x = base[x]
-            lca_mark[x] = stamp
-            if mate[x] < 0:
-                break
-            x = parent[mate[x]]
-        while True:
-            y = base[y]
-            if lca_mark[y] == stamp:
-                return y
-            y = parent[mate[y]]
+            if x >= 0:
+                if x in seen:
+                    return x
+                seen.add(x)
+                x = find(parent[mate[x]]) if mate[x] >= 0 else -1
+            x, y = y, x
 
-    def mark_blossom(v: int, lca_base: int, child: int) -> None:
-        while base[v] != lca_base:
-            blossom_mark[base[v]] = stamp
-            blossom_mark[base[mate[v]]] = stamp
+    def walk(v: int, lca: int, child: int, odd: list[int]) -> None:
+        """Point the path from v up to lca's blossom back through child,
+        join each set root it reaches to lca, collect odd nodes turned even.
+        A nested blossom is joined only when the walk reaches its base:
+        joining it on entry would end the walk before that base."""
+        while find(v) != lca:
             parent[v] = child
             child = mate[v]
-            v = parent[mate[v]]
+            if base[v] == v:
+                base[v] = lca
+            if not even[child]:
+                base[child] = lca
+                odd.append(child)
+            v = parent[child]
 
     def flip(u: int) -> None:
         """Flip matched/unmatched along the path from the exposed or
@@ -393,30 +403,26 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
         flip(u)
 
     def try_augment(root: int, touched: list[int]) -> bool:
-        nonlocal stamp
-        in_queue[root] = True
+        even[root] = True
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for to in chain(own[v], shared[v]):
-                if base[v] == base[to] or mate[v] == to:
+                if mate[v] == to:
                     continue
-                if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
-                    # Even vertex reached: contract the blossom.  Only
-                    # labelled vertices can have a base inside it.
-                    stamp += 1
-                    lca_base = find_lca(v, to)
-                    mark_blossom(v, lca_base, to)
-                    mark_blossom(to, lca_base, v)
-                    for i in touched:
-                        if blossom_mark[base[i]] == stamp:
-                            base[i] = lca_base
-                            if not in_queue[i]:
-                                if is_optional[i]:
-                                    flip_to_even(i)
-                                    return True
-                                in_queue[i] = True
-                                queue.append(i)
+                if even[to]:
+                    if find(v) == find(to):
+                        continue
+                    lca = find_lca(v, to)
+                    odd: list[int] = []
+                    walk(v, lca, to, odd)
+                    walk(to, lca, v, odd)
+                    for x in odd:
+                        if is_optional[x]:
+                            flip_to_even(x)
+                            return True
+                        even[x] = True
+                    queue.extend(odd)
                 elif parent[to] < 0:
                     parent[to] = v
                     touched.append(to)
@@ -427,7 +433,7 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
                         flip_to_even(mate[to])
                         return True
                     touched.append(mate[to])
-                    in_queue[mate[to]] = True
+                    even[mate[to]] = True
                     queue.append(mate[to])
         return False
 
@@ -438,7 +444,7 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
             for i in touched:
                 parent[i] = -1
                 base[i] = i
-                in_queue[i] = False
+                even[i] = False
     return mate
 
 
@@ -470,12 +476,12 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
        pair takes two free ports while two are left, and otherwise is
        matched to its own inner edge.
 
-    On dense gadgets this leaves only a few nodes exposed for the greedy
-    and the alternating-tree searches of
-    :func:`maximum_cardinality_matching` to finish.  Soft singles are its
-    optional nodes.  The searches read the gadget's blocks through shared
-    per-vertex lists (:func:`_gadget_lists`), in O(nodes + m) space; the
-    ``edges`` and ``decode`` views are never expanded here.
+    On dense gadgets this leaves only a few nodes exposed for the
+    alternating-tree searches of :func:`maximum_cardinality_matching` to
+    finish.  Soft singles are its optional nodes.  The searches read the
+    gadget's blocks through shared per-vertex lists (:func:`_gadget_lists`),
+    in O(nodes + m) space; the ``edges`` and ``decode`` views are never
+    expanded here.
     """
     n = instance.n_nodes
     real, pairs = instance.real, instance.pairs

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import networkx as nx
@@ -241,6 +242,9 @@ def test_gadget_rejects_non_integer_bounds_and_negative_loops():
          "loop count k of looped = (g, k) must be an integer, got 0.5"),
         (lambda: ef.tutte_gadget((k3, 0), 2.0), "b must be an integer, got 2.0"),
         (lambda: ef.tutte_gadget((k3, 0), 2, 1.0), "a must be an integer, got 1.0"),
+        (lambda: ef.tutte_gadget((K4, 0), 2, 3), "need 0 <= a <= b, got a=3, b=2"),
+        (lambda: ef.tutte_gadget((K4, 0), 2, -1), "need 0 <= a <= b, got a=-1, b=2"),
+        (lambda: ef.tutte_gadget((K4, 0), -2), "need 0 <= b, got b=-2"),
         (lambda: ef.loop_augment(C4, 2, 4.0), "b must be an integer, got 4.0"),
         (lambda: ef.find_even_factor(K5, 2.0, 4), "a must be an integer, got 2.0"),
         (lambda: ef.find_even_factor(K5, 2, 4.0), "b must be an integer, got 4.0"),
@@ -474,7 +478,7 @@ def test_warm_start_agrees_with_cold_start_on_family_gadgets(g, a, b):
 def test_matching_init_is_extended_to_a_maximum_matching():
     adj = [list(PETERSEN.adjacency[v]) for v in range(10)]
     init = [-1] * 10
-    init[0], init[4] = 4, 0  # not the pair the vertex-order greedy picks
+    init[0], init[4] = 4, 0
     mate = ef.maximum_cardinality_matching(10, adj, init)
     _assert_valid_mate(mate, adj)
     assert sum(1 for v in mate if v >= 0) == 10
@@ -571,7 +575,7 @@ def test_find_even_factor_k5_is_whole_graph():
 
 
 @pytest.mark.parametrize("n, a", [(8, 4), (12, 6), (16, 8), (20, 10), (40, 20),
-                                  (9, 4), (11, 4)])
+                                  (100, 50), (9, 4), (11, 4)])
 def test_find_even_factor_regular_factors_of_cliques(n, a):
     # beyond the brute-force cap: the oracle is verification plus degrees
     g = ef.complete_graph(n)
@@ -579,6 +583,29 @@ def test_find_even_factor_regular_factors_of_cliques(n, a):
     assert factor is not None
     assert ef.verify_factor(g, factor, a, a, require_even=True)
     assert factor.degrees == (a,) * n
+
+
+def test_find_even_factor_on_k100_at_a_equals_b_is_fast():
+    # a = b leaves the gadget no slack, so every search walks a dense
+    # gadget and contracts many blossoms; each contraction must cost only
+    # its blossom's path
+    g = ef.complete_graph(100)
+    start = time.process_time()
+    factor = ef.find_even_factor(g, 50, 50)
+    assert time.process_time() - start < 5.0
+    assert factor.degrees == (50,) * 100
+
+
+def test_find_even_factor_finds_the_factor_behind_a_nested_blossom():
+    # A blossom contraction must walk a nested blossom down to its base
+    # before joining it: joining on entry stops the walk early, leaves
+    # parent pointers unset and misses the augmenting path here.
+    g = ef.build_graph(8, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4),
+                           (1, 5), (1, 7), (2, 7), (3, 4), (3, 6), (4, 5), (4, 6)])
+    factor = ef.find_even_factor(g, 2, 4)
+    assert factor is not None
+    assert ef.verify_factor(g, factor, 2, 4, require_even=True)
+    assert ef.brute_force_even_factor(g, 2, 4) is not None
 
 
 def test_find_even_factor_counterexample_families_absent():
