@@ -12,10 +12,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import build_graph, degree_profile, sigma2, edge_connectivity, \
-    vertex_connectivity
+from .graph import degree_profile, sigma2, edge_connectivity, vertex_connectivity
 from .criteria import conjecture_conditions, order_threshold, prop_f_eval, \
-    _deficiency_terms, _disjoint_sets, _require_even_pair
+    _deficiency_terms, _require_even_pair
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import find_ab_factor, find_even_factor
 from .spectral import bipartite_threshold, classify_threshold, conjecture_sweep, \
@@ -40,41 +39,42 @@ class ClaimRow:
                 "passed": self.passed}
 
 
-def _random_graph(rng: random.Random, n: int, p: float):
-    return build_graph(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-
-
 def _parity_samples():
-    """The claim's seeded (G, S, T) samples, drawn in order."""
+    """The claim's seeded samples (n, adjacency masks, S mask, T mask), drawn
+    in order: n, the edge probability, one draw per pair u < v, then one
+    side (0 outside, 1 in S, 2 in T) per vertex."""
     rng = random.Random(PARITY_SEED)
+    draw = rng.random
     for _ in range(PARITY_TRIALS):
         n = rng.randint(1, 10)
-        g = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        side = [rng.randrange(3) for _ in range(n)]
-        s = tuple(v for v in range(n) if side[v] == 1)
-        t = tuple(v for v in range(n) if side[v] == 2)
-        yield g, s, t
-
-
-def _pair_deficiencies(g, s, t) -> list[int]:
-    """``even_factor_deficiency(g, a, b, s, t)`` for each pair of
-    ``PARITY_PAIRS``, with S and T validated and the (a,b)-free terms
-    worked out once."""
-    ss, tt = _disjoint_sets(g, s, t)
-    q, e = _deficiency_terms(g, ss, tt)
-    ns, nt = len(ss), len(tt)
-    return [q - b * ns + a * nt - e for a, b in PARITY_PAIRS]
+        p = rng.choice([0.2, 0.5, 0.8])
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draw() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        s_mask = t_mask = 0
+        for v in range(n):
+            side = rng.randrange(3)
+            if side == 1:
+                s_mask |= 1 << v
+            elif side == 2:
+                t_mask |= 1 << v
+        yield n, adj, s_mask, t_mask
 
 
 def claim_parity_invariance() -> ClaimRow:
-    """Deficiency value keeps the parity of a on random (G, S, T) samples."""
+    """Deficiency value keeps the parity of a on random (G, S, T) samples;
+    each sample's (a,b)-free terms are worked out once for all pairs."""
     for a, b in PARITY_PAIRS:
         _require_even_pair(a, b)
     violations = 0
-    for g, s, t in _parity_samples():
-        for (a, _), value in zip(PARITY_PAIRS, _pair_deficiencies(g, s, t)):
-            if value % 2 != a % 2:
+    for n, adj, s_mask, t_mask in _parity_samples():
+        q, e = _deficiency_terms(n, adj, s_mask, t_mask)
+        ns, nt = s_mask.bit_count(), t_mask.bit_count()
+        for a, b in PARITY_PAIRS:
+            if (q - b * ns + a * nt - e) % 2 != a % 2:
                 violations += 1
     return ClaimRow(
         "parity-invariance",

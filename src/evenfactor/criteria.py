@@ -108,23 +108,44 @@ def _disjoint_sets(g: Graph, s: Iterable[int], t: Iterable[int]):
 def odd_cut_q(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
     """Count components Q of G-(S+T) whose cut into T has odd size."""
     ss, tt = _disjoint_sets(g, s, t)
-    return _odd_cut_q(g, ss, tt)
+    return _deficiency_terms(g.n, g.adjacency_masks, _set_mask(ss), _set_mask(tt))[0]
 
 
-def _odd_cut_q(g: Graph, ss: frozenset[int], tt: frozenset[int]) -> int:
-    """q(S,T) for validated disjoint S, T: each component's cut into T is
-    counted from the adjacency sets of its vertices."""
-    adj = g.adjacency
-    return sum(sum(len(adj[v] & tt) for v in comp) & 1
-               for comp in _components(g, ss | tt))
+def _set_mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
 
 
-def _deficiency_terms(g: Graph, ss: frozenset[int], tt: frozenset[int]
+def _deficiency_terms(n: int, adj: Sequence[int], s_mask: int, t_mask: int
                       ) -> tuple[int, int]:
     """The (a,b)-free terms (q(S,T), sum_{v in T} d_{G-S}(v)) of the
-    deficiency, for validated disjoint S, T."""
-    adj = g.adjacency
-    return _odd_cut_q(g, ss, tt), sum(len(adj[v] - ss) for v in tt)
+    deficiency, for disjoint vertex masks S, T over adjacency masks ``adj``.
+
+    Bit v of ``odd``, the XOR of N(t) over t in T, is the parity of v's
+    neighbours in T, so a component C of G-(S+T) has an odd cut into T
+    exactly when ``odd & C`` has odd popcount.  Each component is flooded
+    from its lowest vertex.
+    """
+    keep = ~s_mask
+    odd = e = 0
+    rest = t_mask
+    while rest:
+        low = rest & -rest
+        nb = adj[low.bit_length() - 1]
+        odd ^= nb
+        e += (nb & keep).bit_count()
+        rest ^= low
+    q = 0
+    free = ((1 << n) - 1) & ~(s_mask | t_mask)
+    while free:
+        comp = frontier = free & -free
+        while frontier:
+            low = frontier & -frontier
+            new = adj[low.bit_length() - 1] & free & ~comp
+            comp |= new
+            frontier = (frontier ^ low) | new
+        q += (odd & comp).bit_count() & 1
+        free ^= comp
+    return q, e
 
 
 def even_factor_deficiency(g: Graph, a: int, b: int,
@@ -132,7 +153,7 @@ def even_factor_deficiency(g: Graph, a: int, b: int,
     """Exact value of q(S,T) - b|S| + a|T| - sum_{v in T} d_{G-S}(v)."""
     _require_even_pair(a, b)
     ss, tt = _disjoint_sets(g, s, t)
-    q, e = _deficiency_terms(g, ss, tt)
+    q, e = _deficiency_terms(g.n, g.adjacency_masks, _set_mask(ss), _set_mask(tt))
     return q - b * len(ss) + a * len(tt) - e
 
 

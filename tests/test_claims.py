@@ -1,7 +1,8 @@
 import itertools
+import random
 
-from evenfactor import claims
-from evenfactor.criteria import even_factor_deficiency
+from evenfactor import claims, criteria
+from helpers import random_graph
 
 
 def test_connectivity_gap_rows_are_pinned():
@@ -43,16 +44,34 @@ def test_connectivity_gap_claims_look_up_connectivity_at_call_time(monkeypatch):
     assert calls == ["edge_connectivity", "vertex_connectivity"]
 
 
+def _graph_drawn_parity_samples():
+    """The claim's samples as they were drawn when each was a Graph plus S
+    and T tuples: the same RNG calls in the same order."""
+    rng = random.Random(claims.PARITY_SEED)
+    for _ in range(claims.PARITY_TRIALS):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        side = [rng.randrange(3) for _ in range(n)]
+        s = tuple(v for v in range(n) if side[v] == 1)
+        t = tuple(v for v in range(n) if side[v] == 2)
+        yield g, s, t
+
+
 def test_parity_claim_values_equal_the_deficiency():
-    # replays the claim's own draw sequence; each pair's value, built from
-    # the shared (a,b)-free terms, equals the public deficiency
+    # the mask-drawn samples are the Graph-drawn ones bit for bit, and the
+    # claim's four values per sample equal the public deficiency
     checked = 0
-    for g, s, t in itertools.islice(claims._parity_samples(), 2000):
-        values = claims._pair_deficiencies(g, s, t)
-        assert values == [even_factor_deficiency(g, a, b, s, t)
+    for (g, s, t), (n, adj, s_mask, t_mask) in itertools.zip_longest(
+            _graph_drawn_parity_samples(), claims._parity_samples()):
+        assert (n, tuple(adj)) == (g.n, g.adjacency_masks)
+        assert s_mask == sum(1 << v for v in s)
+        assert t_mask == sum(1 << v for v in t)
+        q, e = criteria._deficiency_terms(n, adj, s_mask, t_mask)
+        values = [q - b * len(s) + a * len(t) - e for a, b in claims.PARITY_PAIRS]
+        assert values == [criteria.even_factor_deficiency(g, a, b, s, t)
                           for a, b in claims.PARITY_PAIRS], (g, s, t)
         checked += len(values)
-    assert checked == 8000
+    assert checked == 40_000
 
 
 def test_parity_invariance_row_is_pinned():

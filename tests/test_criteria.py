@@ -3,8 +3,11 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evenfactor as ef
 from evenfactor import criteria
@@ -66,6 +69,61 @@ def test_deficiency_rejects_bad_bounds():
         ef.even_factor_deficiency(STAR, 2, 3, (), ())
     with pytest.raises(ValueError, match="a <= b"):
         ef.even_factor_deficiency(STAR, 4, 2, (), ())
+
+
+def _nx_deficiency_terms(g, s, t):
+    """(q(S,T), sum_{v in T} d_{G-S}(v)) from networkx: the components of
+    G-(S+T), each with its edges into T counted, and the degrees of T in
+    G-S."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    ss, tt = set(s), set(t)
+    rest = h.subgraph(set(h) - ss - tt)
+    q = sum(nx.cut_size(h, comp, tt) % 2 for comp in nx.connected_components(rest))
+    e = sum(d for _, d in h.subgraph(set(h) - ss).degree(tt))
+    return q, e
+
+
+def _check_against_networkx(g, s, t):
+    q, e = _nx_deficiency_terms(g, s, t)
+    assert ef.odd_cut_q(g, s, t) == q, (g, s, t)
+    for a, b in ((2, 2), (2, 4), (4, 6)):
+        assert (ef.even_factor_deficiency(g, a, b, s, t)
+                == q - b * len(s) + a * len(t) - e), (g, s, t, a, b)
+
+
+def test_deficiency_terms_agree_with_networkx():
+    # sides drawn from: all three, S+T = V, T empty, T = V, S empty
+    rng = random.Random(18)
+    for n in range(13):
+        dense = random_graph(rng, n, 0.7)
+        graphs = [random_graph(rng, n, 0.3), dense, ef.build_graph(n, []),
+                  ef.complete_graph(n),
+                  ef.build_graph(n, [e for e in dense.edges if max(e) < n - 2])]
+        for g in graphs:
+            for choices in ((0, 1, 2), (1, 2), (0, 1), (2,), (0, 2)):
+                for _ in range(3):
+                    side = [rng.choice(choices) for _ in range(n)]
+                    s = tuple(v for v in range(n) if side[v] == 1)
+                    t = tuple(v for v in range(n) if side[v] == 2)
+                    _check_against_networkx(g, s, t)
+
+
+@st.composite
+def deficiency_inputs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = ef.build_graph(n, [e for e in pairs if draw(st.booleans())])
+    side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return (g, tuple(v for v in range(n) if side[v] == 1),
+            tuple(v for v in range(n) if side[v] == 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(deficiency_inputs())
+def test_deficiency_terms_agree_with_networkx_on_drawn_inputs(case):
+    _check_against_networkx(*case)
 
 
 # -------------------------------------------------------- lovasz_deficiency
