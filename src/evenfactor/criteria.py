@@ -29,6 +29,10 @@ if TYPE_CHECKING:
 #: must fail loudly instead of silently sampling.
 EXHAUSTIVE_VERTEX_CAP = 18
 
+#: Cap for one (S, T) evaluation on adjacency bitmasks, which hold about n^2/2
+#: bits on a sparse graph: a path at the cap adds 6 MB (100 MB at n = 40000).
+DEFICIENCY_VERTEX_CAP = 10000
+
 
 def rational_json(x) -> object:
     """Serialize an exact numeric value as {num, den}; INFINITY as a string."""
@@ -105,10 +109,20 @@ def _disjoint_sets(g: Graph, s: Iterable[int], t: Iterable[int]):
     return ss, tt
 
 
+def _split_masks(g: Graph, s: Iterable[int], t: Iterable[int]
+                 ) -> tuple[Sequence[int], int, int]:
+    """Adjacency masks of g and masks of a validated disjoint (S, T); a
+    ScaleError above ``DEFICIENCY_VERTEX_CAP``, before any mask is built."""
+    if g.n > DEFICIENCY_VERTEX_CAP:
+        raise ScaleError(
+            f"deficiency evaluation supports n <= {DEFICIENCY_VERTEX_CAP}, got n={g.n}")
+    ss, tt = _disjoint_sets(g, s, t)
+    return g.adjacency_masks, _set_mask(ss), _set_mask(tt)
+
+
 def odd_cut_q(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
     """Count components Q of G-(S+T) whose cut into T has odd size."""
-    ss, tt = _disjoint_sets(g, s, t)
-    return _deficiency_terms(g.n, g.adjacency_masks, _set_mask(ss), _set_mask(tt))[0]
+    return _deficiency_terms(g.n, *_split_masks(g, s, t))[0]
 
 
 def _set_mask(vertices: Iterable[int]) -> int:
@@ -152,9 +166,9 @@ def even_factor_deficiency(g: Graph, a: int, b: int,
                            s: Iterable[int], t: Iterable[int]) -> int:
     """Exact value of q(S,T) - b|S| + a|T| - sum_{v in T} d_{G-S}(v)."""
     _require_even_pair(a, b)
-    ss, tt = _disjoint_sets(g, s, t)
-    q, e = _deficiency_terms(g.n, g.adjacency_masks, _set_mask(ss), _set_mask(tt))
-    return q - b * len(ss) + a * len(tt) - e
+    adj, s_mask, t_mask = _split_masks(g, s, t)
+    q, e = _deficiency_terms(g.n, adj, s_mask, t_mask)
+    return q - b * s_mask.bit_count() + a * t_mask.bit_count() - e
 
 
 def lovasz_deficiency(g: Graph, lower: Sequence[int], upper: Sequence[int],
@@ -217,7 +231,8 @@ def criterion_decide(g: Graph, a: int, b: int
     and W is dropped when ub < max(2, best).
 
     The splits of the surviving W are evaluated in blocks of at most
-    ``_BLOCK`` (W, T) pairs, rows of one block padded to the widest W in it.
+    ``_BLOCK`` (W, T) pairs, rows of one block padded to the widest W in it;
+    a W with more than ``_BLOCK_BITS`` members is a block of its own.
     T and its odd-cut vector P are built per row by doubling over the
     members of W, and
 
@@ -227,8 +242,10 @@ def criterion_decide(g: Graph, a: int, b: int
     D[X] = sum_{v in X} (a - deg v).  Among a block's maxima the witness is
     the argmin of the int64 key from :func:`_split_keys`, which orders like
     (|S|, |T|, S, T); ties across blocks compare keys, so the witness does
-    not depend on the order of evaluation.  Memory is bounded by the block
-    size and by the O(2^n n) tables; no array of all 3^n splits is built.
+    not depend on the order of evaluation.  Memory is bounded by the
+    largest block, at most 2^n splits (about 1 MB per int32 array at the
+    vertex cap), and by the O(2^n n) tables; no array of all 3^n splits is
+    built.
 
     Values fit int32 for any (a, b).  When b > (a+1)(n-1), every split with
     S nonempty is negative and the others do not depend on b; when
@@ -320,48 +337,37 @@ def criterion_decide(g: Graph, a: int, b: int
 
         for r0, r1 in _row_blocks(sizes.tolist()):
             k = int(sizes[r1 - 1])
-            low = min(k, _BLOCK_BITS)
             # t[x, i], p[x, i]: the x-th subset T of row i's members and its
-            # odd-cut vector, doubled over the first `low` members (members
-            # past the row's own size are the empty column n).
+            # odd-cut vector, doubled over the members (members past the
+            # row's own size are the empty column n).
             pos = members[r0:r1, :k].astype(np.intp)
             step_t = bit[pos]
             step_p = parity[np.arange(r0, r1)[:, None], pos]
-            t = np.empty((1 << low, r1 - r0), dtype=np.int32)
+            t = np.empty((1 << k, r1 - r0), dtype=np.int32)
             p = np.empty_like(t)
             t[0] = p[0] = 0
-            for j in range(low):
+            for j in range(k):
                 h = 1 << j
                 np.bitwise_xor(t[:h], step_t[:, j], out=t[h:2 * h])
                 np.bitwise_xor(p[:h], step_p[:, j], out=p[h:2 * h])
-            wr = w[r0:r1]
-            const = row_const[r0:r1]
-            # Members past the low ones (only in a block of one row) are
-            # walked in Gray-code order, one block per subset of them.
-            tb, pb = t, p
-            for i in range(1 << (k - low)):
-                if i:
-                    j = low + (i & -i).bit_length() - 1
-                    tb = tb ^ step_t[0, j]
-                    pb = pb ^ step_p[0, j]
-                sb = wr ^ tb
-                score = np.take(f_tab, tb)
-                score += np.bitwise_count(pb)
-                score -= np.take(e_tab, sb)
-                score += const
-                top = int(score.max())
-                if top < max(2, best_value):
-                    continue
-                hits = np.flatnonzero(score == top)
-                s_hit = sb.ravel()[hits]
-                t_hit = tb.ravel()[hits]
-                keys = _split_keys(n, s_hit, t_hit)
-                i_min = int(keys.argmin())
-                key = int(keys[i_min])
-                if top == best_value and key >= best_key:
-                    continue
-                best_value, best_key = top, key
-                best_split = int(s_hit[i_min]), int(t_hit[i_min])
+            s = w[r0:r1] ^ t
+            score = np.take(f_tab, t)
+            score += np.bitwise_count(p)
+            score -= np.take(e_tab, s)
+            score += row_const[r0:r1]
+            top = int(score.max())
+            if top < max(2, best_value):
+                continue
+            hits = np.flatnonzero(score == top)
+            s_hit = s.ravel()[hits]
+            t_hit = t.ravel()[hits]
+            keys = _split_keys(n, s_hit, t_hit)
+            i_min = int(keys.argmin())
+            key = int(keys[i_min])
+            if top == best_value and key >= best_key:
+                continue
+            best_value, best_key = top, key
+            best_split = int(s_hit[i_min]), int(t_hit[i_min])
 
     if best_split is None:
         return True, None
@@ -426,7 +432,8 @@ def _split_keys(n: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _row_blocks(sizes: list[int]) -> list[tuple[int, int]]:
     """Cut rows with nondecreasing sizes k into spans [r0, r1) whose rows,
-    each widened to 2^min(k_max, _BLOCK_BITS) splits, hold at most _BLOCK."""
+    each widened to 2^k_max splits, hold at most _BLOCK; a row with more
+    than _BLOCK_BITS members is a span of its own."""
     spans = []
     start = 0
     for r, k in enumerate(sizes):

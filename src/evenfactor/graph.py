@@ -2,14 +2,15 @@
 
 Vertices are dense integer ids 0..n-1.  Graph values are immutable after
 construction and safe to share across workers; every operation here is a pure
-function of its inputs.  Edge and vertex connectivity each build one
-unit-capacity flow network per call and share one min-cut loop.
+function of its inputs.  Edge and vertex connectivity each build one flat
+unit-capacity network per call and share one min-cut loop and one flow
+function, which augments a unit at a time along breadth-first residual paths
+(Menger's theorem makes each flow value a local connectivity).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -150,110 +151,87 @@ def is_connected(g: Graph) -> bool:
     return len(components_after_deletion(g, ())) == 1
 
 
-class _Dinic:
-    """Max-flow on a small directed network (unit-ish integer capacities)."""
+def _network(size: int, arcs: Iterable[tuple[int, int, int]]
+             ) -> tuple[list[list[int]], list[int], list[int]]:
+    """Flat unit network ``(head, to, cap)`` on nodes 0..size-1.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        """Maximum s-t flow; with ``limit``, stop after the phase in which the
-        flow reaches it and return that value (>= ``limit``).
-
-        The level search stops once it labels t: no shortest path uses a
-        vertex at t's level or beyond.
-        """
-        flow = 0
-        while limit is None or flow < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue and level[t] < 0:
-                v = queue.popleft()
-                for eid in self.head[v]:
-                    if self.cap[eid] > 0 and level[self.to[eid]] < 0:
-                        level[self.to[eid]] = level[v] + 1
-                        queue.append(self.to[eid])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-        return flow
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push flow along one s-t path of the level graph; 0 if none is left.
-
-        Depth-first with an explicit stack of edge ids, so path length is not
-        bounded by the recursion limit.  ``it[v]`` is the next edge of v to
-        try; it moves past an edge only when that edge leads to a dead end.
-        """
-        path: list[int] = []
-        v = s
-        while v != t:
-            head = self.head[v]
-            while it[v] < len(head):
-                eid = head[it[v]]
-                if self.cap[eid] > 0 and level[self.to[eid]] == level[v] + 1:
-                    path.append(eid)
-                    v = self.to[eid]
-                    break
-                it[v] += 1
-            else:
-                if not path:
-                    return 0
-                v = self.to[path.pop() ^ 1]
-                it[v] += 1
-        pushed = min(self.cap[eid] for eid in path)
-        for eid in path:
-            self.cap[eid] -= pushed
-            self.cap[eid ^ 1] += pushed
-        return pushed
+    The k-th arc pair (u, v, back) of ``arcs`` becomes arc 2k, u -> v with
+    capacity 1, and its reverse 2k+1, v -> u with capacity ``back``; so the
+    reverse of arc e is e ^ 1, and an undirected edge is one pair with
+    ``back`` = 1.  ``head[v]`` lists the arcs leaving v.
+    """
+    head: list[list[int]] = [[] for _ in range(size)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, back in arcs:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (1, back)
+    return head, to, cap
 
 
-def _edge_flow_network(g: Graph) -> _Dinic:
-    """Unit-capacity network with both directions of every edge of g."""
-    net = _Dinic(g.n)
-    for u, v in g.edges:
-        net.add_edge(u, v, 1)
-        net.add_edge(v, u, 1)
-    return net
+def _flow(head: list[list[int]], to: list[int], cap: list[int],
+          s: int, t: int, limit: int) -> int:
+    """Push units of flow from s to t, one breadth-first residual path at a
+    time, until ``limit`` units or no path is left; return the units pushed.
+
+    Each node records the arc it was reached by, and the path is walked back
+    through those arcs, so no step recurses.
+    """
+    flow = 0
+    while flow < limit:
+        via: list[int | None] = [None] * len(head)
+        via[s] = -1
+        queue = [s]
+        for v in queue:
+            for e in head[v]:
+                w = to[e]
+                if cap[e] and via[w] is None:
+                    via[w] = e
+                    queue.append(w)
+            if via[t] is not None:
+                break
+        else:
+            return flow
+        v = t
+        while v != s:
+            e = via[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = to[e ^ 1]
+        flow += 1
+    return flow
 
 
-def _min_cut(g: Graph, net: _Dinic,
-             sources: Iterable[tuple[int, Iterable[int]]]) -> int:
-    """Smallest max-flow on ``net``, a unit-capacity network of ``g``, from
-    each source node to each of its targets; 0 if g is disconnected.
+def _min_cut(g: Graph, net: tuple[list[list[int]], list[int], list[int]],
+             sources: Iterable[tuple[int, Iterable[tuple[int, list[int]]]]]) -> int:
+    """Smallest max-flow on ``net``, a unit network of ``g`` from
+    :func:`_network`, from each source node to each of its targets; 0 if g
+    is disconnected.
 
-    ``best`` starts at the minimum degree, which bounds both connectivities.
-    Each flow starts from the unit capacities and stops at ``best``.  Source
-    i (0-based) runs only while i < ``best`` (Even's scheme); on a connected
-    graph a cut of 1 is final.
+    A target is a node t and a list of arcs that every cut between the
+    source and t must hold: those arcs are closed and counted, and the flow
+    runs only for the rest.  ``best`` starts at the minimum degree, which
+    bounds both connectivities.  Each flow starts from the unit capacities
+    and stops once the cut reaches ``best``.  Source i (0-based) runs only while i < ``best``
+    (Even's scheme); on a connected graph a cut of 1 is final.
     """
     if not is_connected(g):
         return 0
     best = min(g.degrees)
-    unit = list(net.cap)
+    head, to, cap = net
+    unit = cap[:]
     for i, (s, targets) in enumerate(sources):
         if i >= best:
             break
-        for t in targets:
-            net.cap[:] = unit
-            best = min(best, net.max_flow(s, t, best))
+        for t, closed in targets:
+            if len(closed) >= best:
+                continue
+            cap[:] = unit
+            for e in closed:
+                cap[e] = 0
+            best = len(closed) + _flow(head, to, cap, s, t, best - len(closed))
             if best == 1:
                 return best
     return best
@@ -261,31 +239,34 @@ def _min_cut(g: Graph, net: _Dinic,
 
 def edge_connectivity(g: Graph) -> int:
     """Global minimum edge cut: the smallest max-flow from vertex 0 to any
-    other vertex, all on one network."""
+    other vertex, all on one network with one arc pair per edge."""
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
-    return _min_cut(g, _edge_flow_network(g), [(0, range(1, g.n))])
+    net = _network(g.n, ((u, v, 1) for u, v in g.edges))
+    return _min_cut(g, net, [(0, ((t, []) for t in range(1, g.n)))])
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Minimum vertex cut; n-1 for complete graphs by convention.
 
-    The split network has v_in = 2v and v_out = 2v+1 joined by a unit edge,
-    and unit edges u_out -> v_in and v_out -> u_in for each edge uv; a flow
-    runs from s_out to t_in.  Source i runs against every later non-adjacent
-    vertex (Even, SIAM J. Comput. 4, 1975): the first vertex outside a
-    minimum cut C has index at most kappa, and another component of G - C
-    lies at later indices.
+    The split network has v_in = 2v and v_out = 2v+1 joined by arc 2v, and
+    arcs u_out -> v_in and v_out -> u_in for each edge uv; a flow runs from
+    s_out to t_in.  Source i runs against every later non-adjacent vertex
+    (Even, SIAM J. Comput. 4, 1975): the first vertex outside a minimum cut
+    C has index at most kappa, and another component of G - C lies at later
+    indices.  Each common neighbour w of non-adjacent s and t is a path
+    s-w-t of its own, so every vertex set separating s from t holds all of
+    W = N(s) & N(t), and kappa(s, t) = |W| + kappa_{G-W}(s, t).  The split
+    arcs of W are closed and counted, and the flow runs only for the rest
+    of the cut; once |W| reaches the best cut, the pair needs no flow.
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    net = _Dinic(2 * g.n)
-    for v in range(g.n):
-        net.add_edge(2 * v, 2 * v + 1, 1)
+    arcs = [(2 * v, 2 * v + 1, 0) for v in range(g.n)]
     for u, v in g.edges:
-        net.add_edge(2 * u + 1, 2 * v, 1)
-        net.add_edge(2 * v + 1, 2 * u, 1)
+        arcs += ((2 * u + 1, 2 * v, 0), (2 * v + 1, 2 * u, 0))
     adj = g.adjacency
-    sources = ((2 * i + 1, (2 * j for j in range(i + 1, g.n) if j not in adj[i]))
+    sources = ((2 * i + 1, ((2 * j, [2 * w for w in adj[i] & adj[j]])
+                            for j in range(i + 1, g.n) if j not in adj[i]))
                for i in range(g.n))
-    return _min_cut(g, net, sources)
+    return _min_cut(g, _network(2 * g.n, arcs), sources)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import evenfactor as ef
 from evenfactor import criteria
-from evenfactor.criteria import EXHAUSTIVE_VERTEX_CAP
+from evenfactor.criteria import DEFICIENCY_VERTEX_CAP, EXHAUSTIVE_VERTEX_CAP
 from helpers import brute_max_deficiency, random_graph
 
 STAR = ef.complete_bipartite(1, 3)
@@ -124,6 +124,26 @@ def deficiency_inputs(draw):
 @given(deficiency_inputs())
 def test_deficiency_terms_agree_with_networkx_on_drawn_inputs(case):
     _check_against_networkx(*case)
+
+
+def test_deficiency_scale_cap():
+    # one vertex over the cap is refused before the adjacency masks (about
+    # n^2/2 bits on a path) are built; at the cap the value is exact: S is the
+    # middle vertex and T the two ends, so both halves have an odd cut into T
+    over = ef.path_graph(DEFICIENCY_VERTEX_CAP + 1)
+    for call in (lambda: ef.even_factor_deficiency(over, 2, 2, [], [0]),
+                 lambda: ef.odd_cut_q(over, [], [0]),
+                 lambda: ef.parity_check(over, 2, 2, [], [0])):
+        with pytest.raises(ef.ScaleError, match=f"n <= {DEFICIENCY_VERTEX_CAP}"):
+            call()
+    assert "adjacency_masks" not in vars(over)
+    n = DEFICIENCY_VERTEX_CAP
+    path = ef.path_graph(n)
+    s, t = [n // 2], [0, n - 1]
+    assert ef.odd_cut_q(path, s, t) == 2
+    assert ef.even_factor_deficiency(path, 2, 2, s, t) == 2 - 2 + 4 - 2
+    assert ef.even_factor_deficiency(path, 2, 2, [], [0]) == 1 + 2 - 1
+    assert ef.parity_check(path, 2, 4, s, t)
 
 
 # -------------------------------------------------------- lovasz_deficiency

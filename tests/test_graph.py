@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evenfactor as ef
-from evenfactor.graph import _edge_flow_network
+from evenfactor.graph import _flow, _network
 from helpers import random_graph
 
 
@@ -181,11 +181,17 @@ def test_edge_connectivity_on_a_long_path_does_not_recurse():
     assert ef.edge_connectivity(ef.path_graph(3000)) == 1
 
 
+def _edge_flow(g, s, t):
+    """Max s-t flow on g's network of one unit arc pair per edge."""
+    head, to, cap = _network(g.n, ((u, v, 1) for u, v in g.edges))
+    return _flow(head, to, cap, s, t, g.n)
+
+
 def test_max_flow_along_a_long_path_does_not_recurse():
     # edge_connectivity stops at its first unit flow, so the long path test
     # above no longer sends flow along 3000 vertices; this one does.
-    assert _edge_flow_network(ef.path_graph(3000)).max_flow(0, 2999) == 1
-    assert _edge_flow_network(ef.cycle_graph(3000)).max_flow(0, 1500) == 2
+    assert _edge_flow(ef.path_graph(3000), 0, 2999) == 1
+    assert _edge_flow(ef.cycle_graph(3000), 0, 1500) == 2
 
 
 def test_connectivity_agrees_with_networkx():
@@ -254,6 +260,15 @@ def test_vertex_connectivity_agrees_with_networkx_on_larger_graphs():
                                      + [(u + k, v + k) for u, v in right]))
     graphs += [ef.complete_graph(15), ef.complete_graph(24),
                ef.complete_bipartite(7, 12), ef.complete_bipartite(20, 25)]
+    # the common neighbours of a non-adjacent pair alone reach the minimum
+    # cut in K_{30,30}, K_{5,5,5} and K_20 minus a perfect matching, and fall
+    # short of it in dense G(n, p), where the flow must find the rest
+    graphs += [ef.complete_bipartite(30, 30),
+               ef.build_graph(15, [(u, v) for u, v in itertools.combinations(range(15), 2)
+                                   if u // 5 != v // 5]),
+               ef.build_graph(20, [(u, v) for u, v in itertools.combinations(range(20), 2)
+                                   if v != u ^ 1]),
+               random_graph(rng, 40, 0.8), random_graph(rng, 30, 0.9)]
     values = set()
     for g in graphs:
         h = nx.Graph()

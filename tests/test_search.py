@@ -764,6 +764,83 @@ def test_find_ab_factor_matches_even_search_on_even_targets():
             assert ef.find_ab_factor(g, 2, 4) is not None
 
 
+def _bipartite_factor_flow_exists(g, x, a, b):
+    """networkx oracle for a bipartite g with sides range(x) and range(x, n):
+    an [a,b]-factor is a feasible flow s -> X -> Y -> t with s->x and y->t
+    in [a, b] and x->y in [0, 1] per edge (Ore 1957; Hoffman 1960).  Each
+    lower bound l on u -> v becomes capacity b - a plus l units of demand
+    moved from v to u, and t -> s closes the circulation."""
+    net = nx.DiGraph()
+    net.add_node("s", demand=a * x)
+    net.add_node("t", demand=-a * (g.n - x))
+    for v in range(g.n):
+        net.add_node(v, demand=-a if v < x else a)
+        if v < x:
+            net.add_edge("s", v, capacity=b - a)
+        else:
+            net.add_edge(v, "t", capacity=b - a)
+    net.add_edges_from(g.edges, capacity=1)
+    net.add_edge("t", "s")
+    try:
+        nx.network_simplex(net)
+    except nx.NetworkXUnfeasible:
+        return False
+    return True
+
+
+def _random_bipartite(rng, x, y, p):
+    return ef.build_graph(x + y, [(u, v) for u in range(x) for v in range(x, x + y)
+                                  if rng.random() < p])
+
+
+def _check_against_bipartite_flow(rng, count, draw, find, require_even):
+    """Draw ``count`` bipartite graphs with at least 100 vertices and minimum
+    degree at least a, so no answer is the low-degree shortcut, and compare
+    ``find`` with the flow oracle; return the number of absent answers."""
+    absent = done = 0
+    while done < count:
+        x, y, a, b = draw()
+        g = _random_bipartite(rng, x, y, rng.uniform(0.9 * a, 2.5 * a) / min(x, y))
+        if min(g.degrees) < a:
+            continue
+        done += 1
+        got = find(g, a, b)
+        expected = _bipartite_factor_flow_exists(g, x, a, b)
+        assert (got is not None) == expected, (x, y, a, b, sorted(g.edges))
+        if got is not None:
+            assert ef.verify_factor(g, got, a, b, require_even)
+        absent += not expected
+    return absent
+
+
+def test_find_ab_factor_agrees_with_a_bipartite_flow_above_the_caps():
+    # sides 50..60 and 40..80, so n >= 100; the bigger side needs more than
+    # the smaller can give when b|X| < a|Y|, and sparse graphs fail locally
+    rng = random.Random(1)
+
+    def draw():
+        x = rng.randint(50, 60)
+        a = rng.randint(1, 4)
+        return x, rng.randint(100 - x, 140 - x), a, a + rng.randint(0, 3)
+
+    absent = _check_against_bipartite_flow(rng, 100, draw, ef.find_ab_factor, False)
+    assert 30 <= absent <= 70
+
+
+def test_find_even_factor_agrees_with_a_bipartite_flow_above_the_caps():
+    # at [a,a] with a even every a-factor is even; most graphs are balanced,
+    # and the rest, one to three vertices apart, cannot have a factor
+    rng = random.Random(2)
+
+    def draw():
+        x = rng.randint(50, 60)
+        a = rng.choice([2, 4])
+        return x, x if rng.random() < 0.7 else x + rng.randint(1, 3), a, a
+
+    absent = _check_against_bipartite_flow(rng, 100, draw, ef.find_even_factor, True)
+    assert 30 <= absent <= 70
+
+
 # ------------------------------------------------------------ verify_factor
 
 def test_verify_factor_examples():
