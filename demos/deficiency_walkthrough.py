@@ -21,7 +21,7 @@ print("  q(S,T) =", ef.odd_cut_q(star, (), (0,)), "(three leaves, each odd cut)"
 print("  deficiency =", ef.even_factor_deficiency(star, 2, 2, (), (0,)),
       " -> positive, so the criterion fails here")
 holds, witness = ef.criterion_decide(star, 2, 2)
-print("  exhaustive maximum over all (S,T):", witness.to_json())
+print("  exhaustive maximum over all (S,T):", ef.to_json(witness))
 print("  parity of every value matches the bounds:",
       ef.parity_check(star, 2, 2, (), (0,)))
 

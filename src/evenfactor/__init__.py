@@ -17,6 +17,7 @@ from .formats import (
     from_edge_list_text,
     to_dot,
     from_dot,
+    to_json,
 )
 from .criteria import (
     CriterionWitness,

@@ -33,11 +33,6 @@ class ClaimRow:
     observed: dict
     passed: bool
 
-    def to_json(self) -> dict:
-        return {"claim": self.claim, "description": self.description,
-                "params": self.params, "observed": self.observed,
-                "passed": self.passed}
-
 
 def _parity_samples():
     """The claim's seeded samples (n, adjacency masks, S mask, T mask), drawn

@@ -19,7 +19,7 @@ import time
 
 from . import __version__
 from .errors import ScaleError
-from .formats import from_edge_list_text, to_dot, to_edge_list_text
+from .formats import from_edge_list_text, to_dot, to_edge_list_text, to_json
 from .graph import Graph, degree_profile, sigma2, edge_connectivity, \
     vertex_connectivity
 from .criteria import criterion_decide, main_theorem_conditions, \
@@ -89,7 +89,7 @@ def _cmd_construct(ns) -> int:
             fh.write(to_dot(g, header=header))
     result = {"n": g.n, "m": g.m, "out": ns.out, "dot": ns.dot}
     if not ns.out and not ns.dot:
-        result["edges"] = [list(e) for e in g.sorted_edges()]
+        result["edges"] = to_json(g.edges)
     _emit(_envelope("construct", params | {"out": ns.out, "dot": ns.dot}, result))
     return EXIT_OK
 
@@ -101,15 +101,14 @@ def _cmd_check_conditions(ns) -> int:
     which = "theorem" if ns.theorem else "conjecture"
     _emit(_envelope("check-conditions",
                     {"graph": ns.graph, "a": ns.a, "b": ns.b, "which": which},
-                    report.to_json()))
+                    to_json(report) | {"overall": report.overall}))
     return EXIT_OK if report.overall else EXIT_NEGATIVE
 
 
 def _cmd_criterion(ns) -> int:
     g = _load_graph(ns.graph)
     holds, witness = criterion_decide(g, ns.a, ns.b)
-    result = {"holds": holds,
-              "witness": witness.to_json() if witness else None}
+    result = {"holds": holds, "witness": to_json(witness)}
     _emit(_envelope("criterion",
                     {"graph": ns.graph, "a": ns.a, "b": ns.b},
                     result))
@@ -120,8 +119,7 @@ def _cmd_find_factor(ns) -> int:
     g = _load_graph(ns.graph)
     find = find_even_factor if ns.even else find_ab_factor
     factor = find(g, ns.a, ns.b)
-    result = {"present": factor is not None,
-              "factor": factor.to_json() if factor else None}
+    result = {"present": factor is not None, "factor": to_json(factor)}
     if factor is None and g.n and min(g.degrees) < ns.a:
         result["reason"] = "min degree below a"
     _emit(_envelope("find-factor",
@@ -164,7 +162,7 @@ def _cmd_spectral(ns) -> int:
     g = _load_graph(ns.graph)
     res = lambda1(g)
     _, delta, big = degree_profile(g) if g.n else ((), None, None)
-    result = res.to_json() | {
+    result = to_json(res) | {
         "min_degree": delta, "max_degree": big, "sigma2": repr(sigma2(g)),
         "edge_connectivity": edge_connectivity(g) if g.n >= 2 else None,
         "vertex_connectivity": vertex_connectivity(g) if g.n >= 2 else None,
@@ -186,7 +184,7 @@ def _cmd_sweep(ns) -> int:
         records = conjecture_sweep(ns.n, ns.a, ns.b, source="exhaustive")
         source = {"mode": "exhaustive"}
     for rec in records:
-        _emit(rec.to_json(), compact=True)
+        _emit(to_json(rec), compact=True)
     summary = sweep_summary(records)
     _emit(_envelope("sweep",
                     {"n": ns.n, "a": ns.a, "b": ns.b} | source,
@@ -200,7 +198,7 @@ def _cmd_repro(ns) -> int:
         status = "pass" if row.passed else "FAIL"
         print(f"[{status}] {row.claim}: {row.description}", file=sys.stderr)
     _emit(_envelope("repro", {"claim": ns.claim},
-                    {"rows": [r.to_json() for r in rows],
+                    {"rows": to_json(rows),
                      "all_passed": all(r.passed for r in rows)}))
     return EXIT_OK if all(r.passed for r in rows) else EXIT_NEGATIVE
 

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ScaleError
 from .graph import Graph, INFINITY, sigma2, \
-    vertex_connectivity, edge_connectivity, degree_profile, _as_vertex_set, _components
+    vertex_connectivity, edge_connectivity, degree_profile, _as_vertex_set, \
+    _components, _require_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,14 +35,6 @@ EXHAUSTIVE_VERTEX_CAP = 18
 DEFICIENCY_VERTEX_CAP = 10000
 
 
-def rational_json(x) -> object:
-    """Serialize an exact numeric value as {num, den}; INFINITY as a string."""
-    if x == INFINITY:
-        return "INFINITY"
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
-
-
 @dataclass(frozen=True)
 class CriterionWitness:
     """A disjoint pair (S, T) together with its deficiency value."""
@@ -50,24 +43,23 @@ class CriterionWitness:
     T: tuple[int, ...]
     value: int
 
-    def to_json(self) -> dict:
-        return {"S": list(self.S), "T": list(self.T), "value": self.value}
-
 
 @dataclass(frozen=True)
 class Condition:
+    """The condition lhs >= rhs; both sides are exact, a Fraction or
+    INFINITY."""
+
     name: str
     holds: bool
-    lhs: object
-    rhs: object
+    lhs: Fraction | float
+    rhs: Fraction | float
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "lhs": rational_json(self.lhs),
-            "rhs": rational_json(self.rhs),
-        }
+
+def _at_least(name: str, lhs, rhs) -> Condition:
+    """The condition lhs >= rhs, each side kept if INFINITY, else made a
+    Fraction."""
+    return Condition(name, lhs >= rhs,
+                     *(x if x == INFINITY else Fraction(x) for x in (lhs, rhs)))
 
 
 @dataclass(frozen=True)
@@ -84,14 +76,12 @@ class ConditionReport:
                 return c
         raise KeyError(name)
 
-    def to_json(self) -> dict:
-        return {
-            "conditions": [c.to_json() for c in self.conditions],
-            "overall": self.overall,
-        }
-
 
 def _require_even_pair(a: int, b: int) -> None:
+    """Refuse bounds that are not integers, not both even, or not 2 <= a <= b,
+    naming them."""
+    _require_int("a", a)
+    _require_int("b", b)
     problems = []
     if a % 2 or b % 2:
         problems.append(f"a and b must both be even, got a={a}, b={b}")
@@ -126,7 +116,10 @@ def odd_cut_q(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
 
 
 def _set_mask(vertices: Iterable[int]) -> int:
-    return sum(1 << v for v in vertices)
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def _deficiency_terms(n: int, adj: Sequence[int], s_mask: int, t_mask: int
@@ -473,9 +466,9 @@ def main_theorem_conditions(g: Graph, a: int, b: int) -> ConditionReport:
     n_bound: Fraction | int = b + 3 if a == 2 else order_threshold(a, b)
     degree_bound = Fraction(a * n, a + b)
     return ConditionReport((
-        Condition("vertex-connectivity", kappa >= a, kappa, a),
-        Condition("order", n >= n_bound, n, n_bound),
-        Condition("min-degree", delta >= degree_bound, delta, degree_bound),
+        _at_least("vertex-connectivity", kappa, a),
+        _at_least("order", n, n_bound),
+        _at_least("min-degree", delta, degree_bound),
     ))
 
 
@@ -489,10 +482,10 @@ def conjecture_conditions(g: Graph, a: int, b: int) -> ConditionReport:
     n_bound = order_threshold(a, b)
     s2_bound = Fraction(2 * a * n, a + b)
     return ConditionReport((
-        Condition("edge-connectivity", kappa_e >= 2, kappa_e, 2),
-        Condition("order", n >= n_bound, n, n_bound),
-        Condition("min-degree", delta >= a, delta, a),
-        Condition("degree-sum", s2 >= s2_bound, s2, s2_bound),
+        _at_least("edge-connectivity", kappa_e, 2),
+        _at_least("order", n, n_bound),
+        _at_least("min-degree", delta, a),
+        _at_least("degree-sum", s2, s2_bound),
     ))
 
 

@@ -1,15 +1,39 @@
-"""Edge-list text and DOT serialization for graphs.
+"""Edge-list text and DOT serialization for graphs, and the JSON encoding
+of results.
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based,
 whitespace-separated vertex ids.  DOT output declares every vertex so that
-isolated vertices survive a round trip.
+isolated vertices survive a round trip.  :func:`to_json` is the one JSON
+encoder for every result type.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
-from .graph import Graph, build_graph
+from .graph import INFINITY, Graph, build_graph
+
+
+def to_json(x):
+    """The JSON value of a result, by value type: a dataclass becomes the
+    object of its fields, a set its sorted list, a tuple or list a list, a
+    dict a dict, a Fraction ``{"num", "den"}`` and INFINITY ``"INFINITY"``;
+    anything else, None included, is returned as it is."""
+    if is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, (set, frozenset)):
+        return [to_json(v) for v in sorted(x)]
+    if isinstance(x, (tuple, list)):
+        return [to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, float) and x == INFINITY:
+        return "INFINITY"
+    return x
 
 
 def to_edge_list_text(g: Graph) -> str:

@@ -11,6 +11,7 @@ function, which augments a unit at a time along breadth-first residual paths
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -67,9 +68,10 @@ class Graph:
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, deduplicating repeated pairs.
 
-    Raises ValueError naming the position of the first out-of-range or
-    self-loop entry.
+    Raises ValueError for a non-integer n, and naming the position of the
+    first out-of-range or self-loop entry.
     """
+    n = _require_int("vertex count", n)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     edges: set[Edge] = set()
@@ -86,12 +88,31 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` through ``operator.index``; ValueError naming it if it is not
+    an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _as_vertex_set(g: Graph, verts: Iterable[int], name: str) -> frozenset[int]:
-    s = frozenset(verts)
-    bad = [v for v in s if not (0 <= v < g.n)]
-    if bad:
-        raise ValueError(f"{name} contains out-of-range vertices {sorted(bad)}")
-    return s
+    """The vertex ids ``verts`` as a set of ints in range(g.n).  Each id goes
+    through ``operator.index``, so numpy integers become ints; any other id,
+    or one out of range, raises ValueError naming the set and the bad ids."""
+    verts = tuple(verts)
+    try:
+        ids = frozenset(map(operator.index, verts))
+    except TypeError:
+        bad = sorted((v for v in verts if not hasattr(type(v), "__index__")), key=repr)
+        raise ValueError(f"{name} contains non-integer vertex ids {bad}") from None
+    n = g.n
+    for v in ids:
+        if not 0 <= v < n:
+            bad = sorted(v for v in ids if not 0 <= v < n)
+            raise ValueError(f"{name} contains out-of-range vertices {bad}")
+    return ids
 
 
 def degree_profile(g: Graph) -> tuple[tuple[int, ...], int, int]:

@@ -30,7 +30,6 @@ small scale.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +37,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ScaleError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _require_int
 from .criteria import _require_even_pair
 
 #: Edge-count cap for the brute-force oracle (2^m worst case).
@@ -49,7 +48,6 @@ EXHAUSTIVE_EDGE_CAP = 24
 class Factor:
     """A chosen edge subset of a host graph plus its induced degree vector."""
 
-    host: Graph
     edges: frozenset[Edge]
     degrees: tuple[int, ...]
 
@@ -60,11 +58,7 @@ class Factor:
         for u, v in canon:
             degs[u] += 1
             degs[v] += 1
-        return cls(host, canon, tuple(degs))
-
-    def to_json(self) -> dict:
-        return {"edges": [list(e) for e in sorted(self.edges)],
-                "degrees": list(self.degrees)}
+        return cls(canon, tuple(degs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,20 +194,10 @@ def brute_force_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     return _degree_interval_search(g, a, b, require_even=True)
 
 
-def _require_int(name: str, value) -> None:
-    """Refuse a bound or count that is not an integer, naming it."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def loop_augment(g: Graph, a: int, b: int) -> tuple[Graph, int]:
     """The looped graph ``(g, k)``: g with k = (b-a)/2 loops at every vertex,
     which lift every degree by b-a, so that an even [a,b]-factor of g is a
     b-factor of it."""
-    _require_int("a", a)
-    _require_int("b", b)
     _require_even_pair(a, b)
     return g, (b - a) // 2
 
@@ -592,8 +576,6 @@ def find_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     Any returned factor is re-verified.  Vertices of degree below a make the
     answer absent immediately.
     """
-    _require_int("a", a)
-    _require_int("b", b)
     _require_even_pair(a, b)
     if any(d < a for d in g.degrees):
         return None

@@ -47,10 +47,6 @@ class SpectralResult:
     iterations: int
     residual: float
 
-    def to_json(self) -> dict:
-        return {"lambda1": self.lambda1, "iterations": self.iterations,
-                "residual": self.residual}
-
 
 def lambda1(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue, with the residual ||Av - lambda*v||_inf of
@@ -157,17 +153,6 @@ class SweepRecord:
     rho: float
     classification: str  # "candidate" | "boundary"
     verdict: str | None  # "present" | "absent" | None
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n, "a": self.a, "b": self.b,
-            "mask": self.mask,
-            "edges": [list(e) for e in self.edges],
-            "lambda1": self.lambda1,
-            "rho": self.rho,
-            "classification": self.classification,
-            "verdict": self.verdict,
-        }
 
 
 def _vertex_pairs(n: int) -> list[Edge]:

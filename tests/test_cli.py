@@ -189,6 +189,17 @@ def test_check_conditions_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "check-conditions", "--graph", str(path),
                     "--a", "4", "--b", "12", "--theorem")
     assert code == 1 and last_json(out)["result"]["overall"] is False
+    # exact sides: sigma2 of a complete graph is INFINITY, the order bound
+    # 2a + b + (a^2 - 3a)/b - 2 = 3 at [2,2] is {num, den}
+    path = tmp_path / "k6.edges"
+    path.write_text(ef.to_edge_list_text(ef.complete_graph(6)))
+    code, out = run(capsys, "check-conditions", "--graph", str(path),
+                    "--a", "2", "--b", "2", "--conjecture")
+    result = last_json(out)["result"]
+    by_name = {c["name"]: c for c in result["conditions"]}
+    assert code == 0 and result["overall"] is True
+    assert by_name["degree-sum"]["lhs"] == "INFINITY"
+    assert by_name["order"]["rhs"] == {"num": 3, "den": 1}
 
 
 def test_criterion_command(tmp_path, capsys):

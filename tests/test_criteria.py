@@ -71,6 +71,40 @@ def test_deficiency_rejects_bad_bounds():
         ef.even_factor_deficiency(STAR, 4, 2, (), ())
 
 
+def test_criteria_refuse_non_integer_bounds_and_vertex_ids_by_name():
+    c5 = ef.cycle_graph(5)
+    cases = [
+        (lambda: ef.criterion_decide(C6, 2.0, 4), "a must be an integer, got 2.0"),
+        (lambda: ef.even_factor_deficiency(C6, 2.0, 2, (), (0,)),
+         "a must be an integer, got 2.0"),
+        (lambda: ef.main_theorem_conditions(C6, 2.0, 4), "a must be an integer, got 2.0"),
+        (lambda: ef.conjecture_conditions(C6, 2, 4.0), "b must be an integer, got 4.0"),
+        (lambda: ef.parity_check(C6, 2, 2.0, (), ()), "b must be an integer, got 2.0"),
+        (lambda: ef.even_factor_deficiency(c5, 2, 2, (1.0,), ()),
+         "S contains non-integer vertex ids [1.0]"),
+        (lambda: ef.odd_cut_q(c5, (), (0, "1")), "T contains non-integer vertex ids ['1']"),
+        (lambda: ef.parity_check(c5, 2, 2, (), (np.float64(2.0),)),
+         "T contains non-integer vertex ids [np.float64(2.0)]"),
+        (lambda: ef.lovasz_deficiency(c5, [0] * 5, [2] * 5, (0.5,), ()),
+         "S contains non-integer vertex ids [0.5]"),
+        (lambda: ef.even_factor_deficiency(c5, 2, 2, (), (2, 7, -1)),
+         "T contains out-of-range vertices [-1, 7]"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_deficiency_accepts_numpy_vertex_ids():
+    path = ef.path_graph(100)
+    five = np.int64(5)
+    assert ef.even_factor_deficiency(path, 2, 2, [], [five]) == \
+        ef.even_factor_deficiency(path, 2, 2, [], [5]) == 2
+    assert ef.odd_cut_q(path, [np.int32(4)], [five]) == ef.odd_cut_q(path, [4], [5]) == 1
+    assert ef.parity_check(path, 2, 4, [np.uint8(9)], [five])
+
+
 def _nx_deficiency_terms(g, s, t):
     """(q(S,T), sum_{v in T} d_{G-S}(v)) from networkx: the components of
     G-(S+T), each with its edges into T counted, and the degrees of T in
@@ -241,9 +275,9 @@ def test_criterion_witness_matches_brute_force_with_tie_break():
 
 
 def test_criterion_witness_matches_brute_force_at_seven_and_eight_vertices():
-    # The splits of each W are walked in Gray-code order, so the tie-break
-    # must come from the key comparison alone; n = 7, 8 gives W with up to
-    # 256 splits and many tied maxima.
+    # The splits of each W are built by doubling over its members, not in
+    # key order, so the tie-break must come from the key comparison alone;
+    # n = 7, 8 gives W with up to 256 splits and many tied maxima.
     rng = random.Random(9)
     graphs = [random_graph(rng, n, p)
               for n in (7, 8) for p in (0.2, 0.5, 0.8) for _ in range(5)]
@@ -345,7 +379,7 @@ def test_criterion_scale_cap():
 
 def test_witness_json_shape():
     _, witness = ef.criterion_decide(STAR, 2, 2)
-    assert witness.to_json() == {"S": [], "T": [1, 2, 3], "value": 4}
+    assert ef.to_json(witness) == {"S": [], "T": [1, 2, 3], "value": 4}
 
 
 # ------------------------------------------------------- condition checkers
@@ -406,8 +440,8 @@ def test_conjecture_conditions_examples():
 
 def test_condition_report_serializes_rationals_and_infinity():
     report = ef.conjecture_conditions(ef.complete_graph(6), 2, 2)
-    payload = report.to_json()
-    assert payload["overall"]
+    payload = ef.to_json(report)
+    assert report.overall
     by_name = {c["name"]: c for c in payload["conditions"]}
     assert by_name["order"]["rhs"] == {"num": 3, "den": 1}
     assert by_name["degree-sum"]["lhs"] == "INFINITY"

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,7 @@ def test_build_graph_rejects_self_loop_with_position():
     (3, [(0, 1), (3, 3)], "edge 1: (3,3) out of range for n=3"),
     (3, [(2, 2)], "edge 0: self-loop (2,2) not allowed"),
     (0, [(0, 0)], "edge 0: (0,0) out of range for n=0"),
+    (3.0, [(0, 1)], "vertex count must be an integer, got 3.0"),
 ])
 def test_build_graph_error_messages(n, edges, message):
     # a range error wins over a self-loop when u == v >= n
@@ -121,6 +123,11 @@ def test_components_after_deletion():
     comps = ef.components_after_deletion(h, {18, 19})  # y, z
     assert sorted(len(c) for c in comps) == [9, 9]
     assert ef.components_after_deletion(K4, range(4)) == []
+    # numpy ids are ints; any other id is refused by name, not skipped
+    assert ef.components_after_deletion(STAR, [np.int64(0)]) == [(1,), (2,), (3,)]
+    with pytest.raises(ValueError) as err:
+        ef.components_after_deletion(ef.cycle_graph(5), (2.5,))
+    assert str(err.value) == "deleted set contains non-integer vertex ids [2.5]"
 
 
 def _cut_size(g, s, t):

@@ -860,4 +860,4 @@ def test_verify_factor_rejects_foreign_edges():
 
 def test_factor_json_sorted_edges():
     factor = ef.Factor.from_edges(C4, [(3, 0), (1, 0)])
-    assert factor.to_json()["edges"] == [[0, 1], [0, 3]]
+    assert ef.to_json(factor)["edges"] == [[0, 1], [0, 3]]

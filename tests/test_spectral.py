@@ -360,6 +360,6 @@ def test_sweep_random_cap_refuses_before_building_anything():
 
 def test_sweep_record_serialization():
     records = ef.conjecture_sweep(4, 2, 2, source="exhaustive")
-    payload = records[0].to_json()
+    payload = ef.to_json(records[0])
     assert set(payload) == {"n", "a", "b", "mask", "edges", "lambda1", "rho",
                             "classification", "verdict"}
