@@ -46,9 +46,8 @@ factor = ef.find_even_factor(k4, 2, 4)
 print("  decoded factor degrees:", factor.degrees)
 print("  verified:", ef.verify_factor(k4, factor, 2, 4, require_even=True))
 
-show("Exact absence: the brute-force oracle agrees")
+show("Exact absence: the star has no even [2,2]-factor")
 print("  star [2,2] pipeline:", ef.find_even_factor(star, 2, 2))
-print("  star [2,2] oracle:  ", ef.brute_force_even_factor(star, 2, 2))
 
 show("General [a,b]-factors without the parity requirement")
 k33 = ef.complete_bipartite(3, 3)

@@ -25,7 +25,6 @@ from .criteria import (
     ConditionReport,
     odd_cut_q,
     even_factor_deficiency,
-    lovasz_deficiency,
     parity_check,
     criterion_decide,
     main_theorem_conditions,
@@ -36,11 +35,9 @@ from .criteria import (
 from .search import (
     Factor,
     MatchingInstance,
-    brute_force_even_factor,
     loop_augment,
     tutte_gadget,
     max_matching,
-    maximum_cardinality_matching,
     is_perfect,
     find_even_factor,
     find_ab_factor,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from .errors import ScaleError
 from .graph import Graph, INFINITY, sigma2, \
     vertex_connectivity, edge_connectivity, degree_profile, _as_vertex_set, \
-    _components, _require_int
+    _require_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,14 +91,6 @@ def _require_even_pair(a: int, b: int) -> None:
         raise ValueError("; ".join(problems))
 
 
-def _disjoint_sets(g: Graph, s: Iterable[int], t: Iterable[int]):
-    ss = _as_vertex_set(g, s, "S")
-    tt = _as_vertex_set(g, t, "T")
-    if ss & tt:
-        raise ValueError(f"S and T overlap on {sorted(ss & tt)}")
-    return ss, tt
-
-
 def _split_masks(g: Graph, s: Iterable[int], t: Iterable[int]
                  ) -> tuple[Sequence[int], int, int]:
     """Adjacency masks of g and masks of a validated disjoint (S, T); a
@@ -106,7 +98,10 @@ def _split_masks(g: Graph, s: Iterable[int], t: Iterable[int]
     if g.n > DEFICIENCY_VERTEX_CAP:
         raise ScaleError(
             f"deficiency evaluation supports n <= {DEFICIENCY_VERTEX_CAP}, got n={g.n}")
-    ss, tt = _disjoint_sets(g, s, t)
+    ss = _as_vertex_set(g, s, "S")
+    tt = _as_vertex_set(g, t, "T")
+    if ss & tt:
+        raise ValueError(f"S and T overlap on {sorted(ss & tt)}")
     return g.adjacency_masks, _set_mask(ss), _set_mask(tt)
 
 
@@ -162,40 +157,6 @@ def even_factor_deficiency(g: Graph, a: int, b: int,
     adj, s_mask, t_mask = _split_masks(g, s, t)
     q, e = _deficiency_terms(g.n, adj, s_mask, t_mask)
     return q - b * s_mask.bit_count() + a * t_mask.bit_count() - e
-
-
-def lovasz_deficiency(g: Graph, lower: Sequence[int], upper: Sequence[int],
-                      s: Iterable[int], t: Iterable[int]) -> int:
-    """General degree-interval deficiency for per-vertex bounds lower <= upper.
-
-    Evaluates
-
-        sum_{v in T} (d(v) - lower(v)) + sum_{u in S} upper(u) - |[S,T]| - q(S,T)
-
-    where q(S,T) counts components Q of G-(S+T) with lower = upper on all of Q
-    and |[Q,T]| + sum_{v in Q} upper(v) odd.  Nonnegativity over all disjoint
-    (S, T) characterizes the existence of a spanning subgraph with
-    lower(v) <= d_H(v) <= upper(v) everywhere.  S and T are validated once;
-    each cut is counted from the adjacency sets of its vertices.
-    """
-    if len(lower) != g.n or len(upper) != g.n:
-        raise ValueError(f"bound vectors must have length n={g.n}")
-    bad = [v for v in range(g.n)
-           if not (0 <= lower[v] <= upper[v] <= g.degrees[v])]
-    if bad:
-        detail = ", ".join(
-            f"v={v}: lower={lower[v]}, upper={upper[v]}, degree={g.degrees[v]}"
-            for v in bad)
-        raise ValueError(f"need 0 <= lower <= upper <= degree per vertex; violated at {detail}")
-    ss, tt = _disjoint_sets(g, s, t)
-    adj = g.adjacency
-    q = sum(1 for comp in _components(g, ss | tt)
-            if all(lower[v] == upper[v] for v in comp)
-            and sum(len(adj[v] & tt) + upper[v] for v in comp) % 2)
-    return (sum(g.degrees[v] - lower[v] for v in tt)
-            + sum(upper[u] for u in ss)
-            - sum(len(adj[u] & tt) for u in ss)
-            - q)
 
 
 def parity_check(g: Graph, a: int, b: int,

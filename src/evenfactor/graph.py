@@ -68,15 +68,23 @@ class Graph:
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, deduplicating repeated pairs.
 
-    Raises ValueError for a non-integer n, and naming the position of the
-    first out-of-range or self-loop entry.
+    Each endpoint goes through ``operator.index``, so numpy integers and
+    bools are stored as ints.  Raises ValueError for a non-integer n, and
+    naming the position of the first non-integer, out-of-range or self-loop
+    entry.
     """
     n = _require_int("vertex count", n)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     edges: set[Edge] = set()
     add = edges.add
+    index = operator.index
     for i, (u, v) in enumerate(edge_list):
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise ValueError(
+                f"edge {i}: ({u!r},{v!r}) has a non-integer endpoint") from None
         if 0 <= u < v < n:
             add((u, v))
         elif 0 <= v < u < n:
@@ -143,15 +151,8 @@ def components_after_deletion(g: Graph, deleted: Iterable[int]) -> list[tuple[in
     The returned sets partition V minus X; the list is empty when X = V.
     Components are ordered by their smallest vertex.
     """
-    x = _as_vertex_set(g, deleted, "deleted set")
-    return [tuple(sorted(comp)) for comp in _components(g, x)]
-
-
-def _components(g: Graph, deleted: frozenset[int]) -> list[list[int]]:
-    """Components of G - X for a validated X, each as a list of its vertices,
-    ordered by their smallest vertex."""
-    seen = set(deleted)
-    comps: list[list[int]] = []
+    seen = set(_as_vertex_set(g, deleted, "deleted set"))
+    comps: list[tuple[int, ...]] = []
     for start in range(g.n):
         if start in seen:
             continue
@@ -162,7 +163,7 @@ def _components(g: Graph, deleted: frozenset[int]) -> list[list[int]]:
                 if w not in seen:
                     seen.add(w)
                     comp.append(w)
-        comps.append(comp)
+        comps.append(tuple(sorted(comp)))
     return comps
 
 

@@ -24,8 +24,6 @@ covered, and each search then works only on the vertices it labels, so its
 cost follows the search tree rather than the size of the gadget.  Blossom
 bases are kept in a union-find, so a blossom contraction costs the
 blossom's path, not the search tree.
-A brute-force edge-subset search provides the independent ground truth at
-small scale.
 """
 
 from __future__ import annotations
@@ -36,12 +34,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import ScaleError
 from .graph import Edge, Graph, _require_int
 from .criteria import _require_even_pair
-
-#: Edge-count cap for the brute-force oracle (2^m worst case).
-EXHAUSTIVE_EDGE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -129,71 +123,6 @@ def verify_factor(g: Graph, factor: Factor, a: int, b: int,
     return True
 
 
-def _degree_interval_search(g: Graph, a: int, b: int,
-                            require_even: bool) -> Factor | None:
-    """Backtracking edge-subset search with degree-feasibility pruning.
-
-    Exhaustive: explores exactly the subsets not excluded by the bounds
-    a <= d <= b and the parity constraint.  It recurses once per edge, so it
-    serves only as the small-scale oracle behind :func:`brute_force_even_factor`
-    and the tests.
-    """
-    degs = g.degrees
-    if any(d < a for d in degs):
-        return None
-    # Column-major order closes each vertex as early as possible, so the
-    # degree and parity constraints start pruning high in the tree.
-    edges = sorted(g.edges, key=lambda e: (e[1], e[0]))
-    m = len(edges)
-    remaining = list(degs)
-    chosen_deg = [0] * g.n
-    chosen: list[Edge] = []
-
-    def feasible(v: int) -> bool:
-        lo = max(a, chosen_deg[v])
-        hi = min(b, chosen_deg[v] + remaining[v])
-        if lo > hi:
-            return False
-        if require_even and lo == hi and lo % 2:
-            return False
-        return True
-
-    def dfs(i: int) -> bool:
-        if i == m:
-            return True
-        u, v = edges[i]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        chosen_deg[u] += 1
-        chosen_deg[v] += 1
-        if feasible(u) and feasible(v):
-            chosen.append((u, v))
-            if dfs(i + 1):
-                return True
-            chosen.pop()
-        chosen_deg[u] -= 1
-        chosen_deg[v] -= 1
-        if feasible(u) and feasible(v):
-            if dfs(i + 1):
-                return True
-        remaining[u] += 1
-        remaining[v] += 1
-        return False
-
-    if dfs(0):
-        return Factor.from_edges(g, chosen)
-    return None
-
-
-def brute_force_even_factor(g: Graph, a: int, b: int) -> Factor | None:
-    """Ground-truth oracle: exhaustive search for an even [a,b]-factor."""
-    _require_even_pair(a, b)
-    if g.m > EXHAUSTIVE_EDGE_CAP:
-        raise ScaleError(
-            f"brute force supports at most {EXHAUSTIVE_EDGE_CAP} edges, got {g.m}")
-    return _degree_interval_search(g, a, b, require_even=True)
-
-
 def loop_augment(g: Graph, a: int, b: int) -> tuple[Graph, int]:
     """The looped graph ``(g, k)``: g with k = (b-a)/2 loops at every vertex,
     which lift every degree by b-a, so that an even [a,b]-factor of g is a
@@ -279,17 +208,27 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
     )
 
 
-def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
-                                 init: Sequence[int] | None = None,
-                                 optional: Iterable[int] = ()) -> list[int]:
+def _blossom_matching(n: int, own: Sequence[Sequence[int]],
+                      shared: Sequence[Sequence[int]],
+                      home: Sequence[Sequence[int] | None],
+                      init: Sequence[int] | None,
+                      optional: Iterable[int]) -> list[int]:
     """Matching in a general graph that covers as many required nodes as any
     matching can, by alternating-tree searches with blossom contraction.
     Returns the mate array (mate[v] = -1 for exposed v).
 
+    The graph is given as two neighbour lists per node: v's neighbours are
+    ``own[v]`` followed by ``shared[v]``.  A shared list is one object read
+    by many nodes, and ``home[u]`` is the shared list that holds u (None if
+    none does); a plain adjacency list is ``own`` with ``shared = [()] * n``
+    and ``home = [None] * n``.
+
     Nodes in ``optional`` may stay exposed; every other node is required.
     With no optional nodes the result is a maximum matching.  ``init`` is an
     optional starting matching as a mate array; it must be symmetric and use
-    only edges of ``adj`` (ValueError otherwise).  One search runs from every
+    only edges of the graph (ValueError otherwise).  The check decides "u is
+    a neighbour of v" by ``u in own[v]`` or ``home[u] is shared[v]``: O(1)
+    per node when the own lists are short.  One search runs from every
     required node left exposed, with no greedy pass first: a search's first
     step already matches its root to an exposed neighbour.  Optional nodes
     are never roots.  A search ends at an exposed node (augment) or at a
@@ -303,21 +242,6 @@ def maximum_cardinality_matching(n: int, adj: Sequence[Sequence[int]],
     ancestor and points each set root it meets there, so it costs the
     blossom's path, not the tree.  Only the nodes a search labels are reset
     after it, so a search costs time in proportion to its tree, not to n.
-    """
-    return _blossom_matching(n, adj, [()] * n, [None] * n, init, optional)
-
-
-def _blossom_matching(n: int, own: Sequence[Sequence[int]],
-                      shared: Sequence[Sequence[int]],
-                      home: Sequence[Sequence[int] | None],
-                      init: Sequence[int] | None,
-                      optional: Iterable[int]) -> list[int]:
-    """The kernel of :func:`maximum_cardinality_matching` on a graph given
-    as two neighbour lists per node: v's neighbours are ``own[v]`` followed
-    by ``shared[v]``.  A shared list is one object read by many nodes, and
-    ``home[u]`` is the shared list that holds u (None if none does), so the
-    ``init`` check decides "u is a neighbour of v" by ``u in own[v]`` or
-    ``home[u] is shared[v]``: O(1) per node when the own lists are short.
     """
     if init is None:
         mate = [-1] * n
@@ -461,7 +385,7 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
        matched to its own inner edge.
 
     On dense gadgets this leaves only a few nodes exposed for the
-    alternating-tree searches of :func:`maximum_cardinality_matching` to
+    alternating-tree searches of :func:`_blossom_matching` to
     finish.  Soft singles are its optional nodes.  The searches read the
     gadget's blocks through shared per-vertex lists (:func:`_gadget_lists`),
     in O(nodes + m) space; the ``edges`` and ``decode`` views are never

@@ -1,7 +1,9 @@
 """Shared test utilities: random graphs and independent oracles.
 
 Everything here is deliberately naive so it cannot share bugs with the
-library code it checks.
+library code it checks.  The oracles use only public ``evenfactor`` names;
+:func:`blossom_matching` alone reaches into the library, to run its
+matching kernel on plain adjacency lists.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ import random
 from types import SimpleNamespace
 
 import evenfactor as ef
+from evenfactor import search
+
+#: Edge-count cap for the brute-force oracle (2^m worst case).
+EXHAUSTIVE_EDGE_CAP = 24
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> ef.Graph:
@@ -25,6 +31,110 @@ def random_graph_edge_capped(rng: random.Random, n: int, p: float,
         return g
     kept = rng.sample(sorted(g.edges), cap)
     return ef.build_graph(n, kept)
+
+
+def blossom_matching(n, adj, init=None, optional=()) -> list[int]:
+    """The library's matching kernel on adjacency lists ``adj``: a mate array."""
+    return search._blossom_matching(n, adj, [()] * n, [None] * n, init, optional)
+
+
+def degree_interval_search(g: ef.Graph, a: int, b: int,
+                           require_even: bool) -> ef.Factor | None:
+    """Backtracking edge-subset search with degree-feasibility pruning.
+
+    Exhaustive: explores exactly the subsets not excluded by the bounds
+    a <= d <= b and the parity constraint.  It recurses once per edge, so it
+    serves only at small scale.
+    """
+    degs = g.degrees
+    if any(d < a for d in degs):
+        return None
+    # Column-major order closes each vertex as early as possible, so the
+    # degree and parity constraints start pruning high in the tree.
+    edges = sorted(g.edges, key=lambda e: (e[1], e[0]))
+    m = len(edges)
+    remaining = list(degs)
+    chosen_deg = [0] * g.n
+    chosen: list[tuple[int, int]] = []
+
+    def feasible(v: int) -> bool:
+        lo = max(a, chosen_deg[v])
+        hi = min(b, chosen_deg[v] + remaining[v])
+        if lo > hi:
+            return False
+        if require_even and lo == hi and lo % 2:
+            return False
+        return True
+
+    def dfs(i: int) -> bool:
+        if i == m:
+            return True
+        u, v = edges[i]
+        remaining[u] -= 1
+        remaining[v] -= 1
+        chosen_deg[u] += 1
+        chosen_deg[v] += 1
+        if feasible(u) and feasible(v):
+            chosen.append((u, v))
+            if dfs(i + 1):
+                return True
+            chosen.pop()
+        chosen_deg[u] -= 1
+        chosen_deg[v] -= 1
+        if feasible(u) and feasible(v):
+            if dfs(i + 1):
+                return True
+        remaining[u] += 1
+        remaining[v] += 1
+        return False
+
+    if dfs(0):
+        return ef.Factor.from_edges(g, chosen)
+    return None
+
+
+def brute_force_even_factor(g: ef.Graph, a: int, b: int) -> ef.Factor | None:
+    """Ground-truth oracle: exhaustive search for an even [a,b]-factor."""
+    if a % 2 or b % 2 or not 2 <= a <= b:
+        raise ValueError(f"need even 2 <= a <= b, got a={a}, b={b}")
+    if g.m > EXHAUSTIVE_EDGE_CAP:
+        raise ef.ScaleError(
+            f"brute force supports at most {EXHAUSTIVE_EDGE_CAP} edges, got {g.m}")
+    return degree_interval_search(g, a, b, require_even=True)
+
+
+def lovasz_deficiency(g: ef.Graph, lower, upper, s, t) -> int:
+    """General degree-interval deficiency for per-vertex bounds lower <= upper.
+
+    Evaluates
+
+        sum_{v in T} (d(v) - lower(v)) + sum_{u in S} upper(u) - |[S,T]| - q(S,T)
+
+    where q(S,T) counts components Q of G-(S+T) with lower = upper on all of Q
+    and |[Q,T]| + sum_{v in Q} upper(v) odd.  Nonnegativity over all disjoint
+    (S, T) characterizes the existence of a spanning subgraph with
+    lower(v) <= d_H(v) <= upper(v) everywhere (Lovász 1970).
+    """
+    if len(lower) != g.n or len(upper) != g.n:
+        raise ValueError(f"bound vectors must have length n={g.n}")
+    bad = [v for v in range(g.n)
+           if not (0 <= lower[v] <= upper[v] <= g.degrees[v])]
+    if bad:
+        detail = ", ".join(
+            f"v={v}: lower={lower[v]}, upper={upper[v]}, degree={g.degrees[v]}"
+            for v in bad)
+        raise ValueError(f"need 0 <= lower <= upper <= degree per vertex; violated at {detail}")
+    ss, tt = set(s), set(t)
+    if ss & tt:
+        raise ValueError(f"S and T overlap on {sorted(ss & tt)}")
+    adj = g.adjacency
+    q = sum(1 for comp in ef.components_after_deletion(g, ss | tt)
+            if all(lower[v] == upper[v] for v in comp)
+            and sum(len(adj[v] & tt) + upper[v] for v in comp) % 2)
+    return (sum(g.degrees[v] - lower[v] for v in tt)
+            + sum(upper[u] for u in ss)
+            - sum(len(adj[u] & tt) for u in ss)
+            - q)
 
 
 def explicit_gadget(looped: tuple[ef.Graph, int], b: int,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import evenfactor as ef
 from evenfactor import criteria
 from evenfactor.criteria import DEFICIENCY_VERTEX_CAP, EXHAUSTIVE_VERTEX_CAP
-from helpers import brute_max_deficiency, random_graph
+from helpers import brute_max_deficiency, lovasz_deficiency, random_graph
 
 STAR = ef.complete_bipartite(1, 3)
 C4 = ef.cycle_graph(4)
@@ -85,8 +85,6 @@ def test_criteria_refuse_non_integer_bounds_and_vertex_ids_by_name():
         (lambda: ef.odd_cut_q(c5, (), (0, "1")), "T contains non-integer vertex ids ['1']"),
         (lambda: ef.parity_check(c5, 2, 2, (), (np.float64(2.0),)),
          "T contains non-integer vertex ids [np.float64(2.0)]"),
-        (lambda: ef.lovasz_deficiency(c5, [0] * 5, [2] * 5, (0.5,), ()),
-         "S contains non-integer vertex ids [0.5]"),
         (lambda: ef.even_factor_deficiency(c5, 2, 2, (), (2, 7, -1)),
          "T contains out-of-range vertices [-1, 7]"),
     ]
@@ -184,9 +182,9 @@ def test_deficiency_scale_cap():
 
 def test_lovasz_matches_spanning_interval_examples():
     # C4 with exact degree 2 everywhere, T one vertex: all terms vanish
-    assert ef.lovasz_deficiency(C4, [2] * 4, [2] * 4, (), (0,)) == 0
+    assert lovasz_deficiency(C4, [2] * 4, [2] * 4, (), (0,)) == 0
     # perfect-matching bounds on K4: single component, even target sum
-    assert ef.lovasz_deficiency(K4, [1] * 4, [1] * 4, (), ()) == 0
+    assert lovasz_deficiency(K4, [1] * 4, [1] * 4, (), ()) == 0
 
 
 def test_lovasz_zero_lower_bound_reduces_to_minus_q():
@@ -194,7 +192,7 @@ def test_lovasz_zero_lower_bound_reduces_to_minus_q():
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
         upper = list(g.degrees)
-        val = ef.lovasz_deficiency(g, [0] * g.n, upper, (), ())
+        val = lovasz_deficiency(g, [0] * g.n, upper, (), ())
         q = 0
         for comp in ef.components_after_deletion(g, ()):
             if all(upper[v] == 0 for v in comp) and sum(upper[v] for v in comp) % 2:
@@ -204,7 +202,7 @@ def test_lovasz_zero_lower_bound_reduces_to_minus_q():
 
 def test_lovasz_reports_violations_per_vertex():
     with pytest.raises(ValueError) as err:
-        ef.lovasz_deficiency(ef.path_graph(3), [0, 2, 0], [1, 3, 1], (), ())
+        lovasz_deficiency(ef.path_graph(3), [0, 2, 0], [1, 3, 1], (), ())
     assert "v=1" in str(err.value)
 
 
@@ -220,7 +218,7 @@ def test_lovasz_agrees_with_even_deficiency_when_bounds_coincide():
         side = [rng.randrange(3) for _ in range(g.n)]
         s = tuple(v for v in range(g.n) if side[v] == 1)
         t = tuple(v for v in range(g.n) if side[v] == 2)
-        assert (ef.lovasz_deficiency(g, [a] * g.n, [a] * g.n, s, t)
+        assert (lovasz_deficiency(g, [a] * g.n, [a] * g.n, s, t)
                 == -ef.even_factor_deficiency(g, a, a, s, t))
 
 
@@ -315,6 +313,33 @@ def test_criterion_sufficiency_on_random_graphs():
                 holds_count += 1
                 assert ef.find_even_factor(g, a, b) is not None
     assert holds_count > 0
+
+
+def test_gadget_exposed_nodes_equal_the_maximum_deficiency():
+    # Tutte's f-factor theorem in deficiency form: a maximum matching of the
+    # even gadget leaves exposed exactly max over (S, T) of the deficiency,
+    # which is 0 when the criterion holds.  Unbalanced bipartite graphs
+    # supply most of the deficient cases.
+    rng = random.Random(7)
+    checked = deficient = 0
+    while checked < 300:
+        if rng.random() < 0.5:
+            x = rng.randint(2, 4)
+            y, p = rng.randint(x + 1, 10 - x), rng.choice([0.6, 0.9])
+            g = ef.build_graph(x + y, [(u, x + v) for u in range(x) for v in range(y)
+                                       if rng.random() < p])
+        else:
+            g = random_graph(rng, rng.randint(5, 10), rng.choice([0.3, 0.6, 0.9]))
+        a, b = rng.choice([(2, 2), (2, 4), (4, 4), (4, 6), (2, 6)])
+        if min(g.degrees) < a:
+            continue
+        checked += 1
+        inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
+        exposed = inst.n_nodes - 2 * len(ef.max_matching(inst))
+        holds, witness = ef.criterion_decide(g, a, b)
+        assert exposed == (0 if holds else witness.value), (sorted(g.edges), a, b)
+        deficient += not holds
+    assert deficient >= 30
 
 
 def test_split_keys_order_like_tuple_keys():

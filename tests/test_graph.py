@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import networkx as nx
@@ -50,12 +51,25 @@ def test_build_graph_rejects_self_loop_with_position():
     (3, [(2, 2)], "edge 0: self-loop (2,2) not allowed"),
     (0, [(0, 0)], "edge 0: (0,0) out of range for n=0"),
     (3.0, [(0, 1)], "vertex count must be an integer, got 3.0"),
+    (3, [(0, 1.0), (1, 2), (0, 2)], "edge 0: (0,1.0) has a non-integer endpoint"),
+    (3, [(0, 1), ("1", 2)], "edge 1: ('1',2) has a non-integer endpoint"),
+    (3, [(0, 1), (1, 2), (0, np.float64(2.0))],
+     "edge 2: (0,np.float64(2.0)) has a non-integer endpoint"),
 ])
 def test_build_graph_error_messages(n, edges, message):
     # a range error wins over a self-loop when u == v >= n
     with pytest.raises(ValueError) as err:
         ef.build_graph(n, edges)
     assert str(err.value) == message
+
+
+def test_build_graph_stores_numpy_and_bool_endpoints_as_ints():
+    g = ef.build_graph(3, [(np.int64(0), np.int64(1)), (True, 2), (np.int32(2), 0)])
+    assert g.edges == frozenset({(0, 1), (1, 2), (0, 2)})
+    assert all(type(x) is int for e in g.edges for x in e)
+    factor = ef.find_even_factor(g, 2, 2)
+    assert json.loads(json.dumps(ef.to_json(factor))) == {
+        "edges": [[0, 1], [0, 2], [1, 2]], "degrees": [2, 2, 2]}
 
 
 def test_build_graph_reversed_duplicates_are_one_edge():

@@ -1,19 +1,24 @@
+import ast
 import itertools
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 import evenfactor as ef
 from evenfactor import search
-from evenfactor.search import _degree_interval_search
 from helpers import (
+    blossom_matching,
+    brute_force_even_factor,
+    degree_interval_search,
     encode_factor_as_perfect_matching,
     exhaustive_matching_size,
     explicit_gadget,
     gadget_adjacency,
+    lovasz_deficiency,
     random_graph,
     random_graph_edge_capped,
 )
@@ -34,23 +39,41 @@ PETERSEN = ef.build_graph(10, [
 # ------------------------------------------------- brute_force_even_factor
 
 def test_brute_force_cycle_is_its_own_two_factor():
-    factor = ef.brute_force_even_factor(C5, 2, 2)
+    factor = brute_force_even_factor(C5, 2, 2)
     assert factor.edges == C5.edges
 
 
 def test_brute_force_k4_two_factor_is_a_four_cycle():
-    factor = ef.brute_force_even_factor(K4, 2, 2)
+    factor = brute_force_even_factor(K4, 2, 2)
     assert factor.degrees == (2, 2, 2, 2)
     assert len(factor.edges) == 4
 
 
 def test_brute_force_star_has_no_even_factor():
-    assert ef.brute_force_even_factor(STAR, 2, 2) is None
+    assert brute_force_even_factor(STAR, 2, 2) is None
 
 
 def test_brute_force_scale_cap():
     with pytest.raises(ef.ScaleError):
-        ef.brute_force_even_factor(ef.complete_graph(8), 2, 2)  # 28 edges
+        brute_force_even_factor(ef.complete_graph(8), 2, 2)  # 28 edges
+
+
+def test_oracles_stay_outside_the_library():
+    # The oracles live in tests/helpers.py and import no private name from
+    # the library, so they share no code path with what they check.
+    for name in ("brute_force_even_factor", "lovasz_deficiency",
+                 "maximum_cardinality_matching", "EXHAUSTIVE_EDGE_CAP"):
+        assert not hasattr(ef, name), name
+    tree = ast.parse(Path(__file__).with_name("helpers.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("evenfactor"):
+            imported += node.module.split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [part for a in node.names if a.name.startswith("evenfactor")
+                         for part in a.name.split(".")]
+    assert "evenfactor" in imported
+    assert not [name for name in imported if name.startswith("_")]
 
 
 # ------------------------------------------------------------- loop_augment
@@ -263,13 +286,13 @@ def test_matching_small_cliques():
     k3 = ef.tutte_gadget((ef.complete_graph(3), 0), 2)
     assert len(ef.max_matching(k3)) * 2 == k3.n_nodes  # triangle is a 2-factor
     adj = [list(K4.adjacency[v]) for v in range(4)]
-    mate = ef.maximum_cardinality_matching(4, adj)
+    mate = blossom_matching(4, adj)
     assert sum(1 for v in range(4) if mate[v] >= 0) == 4
 
 
 def test_matching_petersen_is_perfect():
     adj = [list(PETERSEN.adjacency[v]) for v in range(10)]
-    mate = ef.maximum_cardinality_matching(10, adj)
+    mate = blossom_matching(10, adj)
     assert sum(1 for v in range(10) if mate[v] >= 0) // 2 == 5
 
 
@@ -280,7 +303,7 @@ def test_matching_against_exhaustive_oracle():
         g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.7, 1.0]))
         edges = g.sorted_edges()
         adj = [list(g.adjacency[v]) for v in range(n)]
-        mate = ef.maximum_cardinality_matching(n, adj)
+        mate = blossom_matching(n, adj)
         for v in range(n):
             if mate[v] >= 0:
                 assert mate[mate[v]] == v
@@ -336,7 +359,7 @@ def test_matching_agrees_with_networkx_on_random_graphs():
         n = rng.randint(2, 40)
         g = random_graph(rng, n, rng.choice([1.5 / n, 3.0 / n, 0.15, 0.3, 0.6]))
         adj = [list(g.adjacency[v]) for v in range(n)]
-        mate = ef.maximum_cardinality_matching(n, adj)
+        mate = blossom_matching(n, adj)
         _assert_valid_mate(mate, adj)
         size = sum(1 for v in range(n) if mate[v] >= 0) // 2
         assert size == _networkx_matching_size(n, g.sorted_edges())
@@ -353,7 +376,7 @@ def test_matching_on_family_gadgets_agrees_with_networkx(g, a, b):
     ref = explicit_gadget(ef.loop_augment(g, a, b), b)
     expected = _networkx_matching_size(ref.n_nodes, ref.edges)
     adj = gadget_adjacency(ref.n_nodes, ref.edges)
-    mate = ef.maximum_cardinality_matching(ref.n_nodes, adj)
+    mate = blossom_matching(ref.n_nodes, adj)
     _assert_valid_mate(mate, adj)
     assert sum(1 for v in mate if v >= 0) // 2 == expected
     matching = ef.max_matching(inst)
@@ -400,11 +423,11 @@ def test_matching_with_optional_nodes_covers_the_most_required_nodes():
         g = random_graph(rng, n, rng.choice([1.5 / n, 3.0 / n, 0.2, 0.4, 0.8]))
         optional = {v for v in range(n) if rng.random() < rng.choice([0.2, 0.5, 0.8])}
         adj = [list(g.adjacency[v]) for v in range(n)]
-        mate = ef.maximum_cardinality_matching(n, adj, optional=optional)
+        mate = blossom_matching(n, adj, optional=optional)
         _assert_valid_mate(mate, adj)
         covered = sum(1 for v in range(n) if mate[v] >= 0 and v not in optional)
         assert covered == _networkx_required_cover(n, g.sorted_edges(), optional)
-        mate = ef.maximum_cardinality_matching(n, adj, optional=())
+        mate = blossom_matching(n, adj, optional=())
         _assert_valid_mate(mate, adj)
         size = sum(1 for v in range(n) if mate[v] >= 0) // 2
         assert size == _networkx_matching_size(n, g.sorted_edges())
@@ -421,7 +444,7 @@ def _assert_warm_matches_cold(looped, b, a=None):
     singles = {s for per_vertex in ref.singles for s in per_vertex}
     warm = ef.max_matching(inst)
     _assert_valid_gadget_matching(ref, warm)
-    mate = ef.maximum_cardinality_matching(inst.n_nodes, adj, optional=singles)
+    mate = blossom_matching(inst.n_nodes, adj, optional=singles)
     _assert_valid_mate(mate, adj)
     cold = {(v, u) for v, u in enumerate(mate) if v < u}
     if singles:
@@ -479,7 +502,7 @@ def test_matching_init_is_extended_to_a_maximum_matching():
     adj = [list(PETERSEN.adjacency[v]) for v in range(10)]
     init = [-1] * 10
     init[0], init[4] = 4, 0
-    mate = ef.maximum_cardinality_matching(10, adj, init)
+    mate = blossom_matching(10, adj, init)
     _assert_valid_mate(mate, adj)
     assert sum(1 for v in mate if v >= 0) == 10
 
@@ -487,11 +510,11 @@ def test_matching_init_is_extended_to_a_maximum_matching():
 def test_matching_init_must_be_a_matching():
     adj = [list(C4.adjacency[v]) for v in range(4)]
     with pytest.raises(ValueError, match="not a matching edge"):
-        ef.maximum_cardinality_matching(4, adj, [1, -1, -1, -1])
+        blossom_matching(4, adj, [1, -1, -1, -1])
     with pytest.raises(ValueError, match="not a matching edge"):
-        ef.maximum_cardinality_matching(4, adj, [2, -1, 0, -1])
+        blossom_matching(4, adj, [2, -1, 0, -1])
     with pytest.raises(ValueError, match="entries"):
-        ef.maximum_cardinality_matching(4, adj, [-1, -1])
+        blossom_matching(4, adj, [-1, -1])
 
 
 def test_decision_path_never_expands_the_edge_views(monkeypatch):
@@ -605,7 +628,7 @@ def test_find_even_factor_finds_the_factor_behind_a_nested_blossom():
     factor = ef.find_even_factor(g, 2, 4)
     assert factor is not None
     assert ef.verify_factor(g, factor, 2, 4, require_even=True)
-    assert ef.brute_force_even_factor(g, 2, 4) is not None
+    assert brute_force_even_factor(g, 2, 4) is not None
 
 
 def test_find_even_factor_counterexample_families_absent():
@@ -623,7 +646,7 @@ def test_find_even_factor_agrees_with_brute_force():
         g = random_graph_edge_capped(rng, rng.choice([7, 8, 9]), rng.random(), 24)
         for a, b in [(2, 2), (2, 4), (4, 4), (2, 6), (2, 8), (4, 10), (2, 10)]:
             got = ef.find_even_factor(g, a, b)
-            expected = ef.brute_force_even_factor(g, a, b)
+            expected = brute_force_even_factor(g, a, b)
             assert (got is None) == (expected is None)
             if got is not None:
                 assert ef.verify_factor(g, got, a, b, require_even=True)
@@ -638,7 +661,7 @@ def test_every_brute_force_factor_encodes_to_a_perfect_matching():
         a, b = rng.choice([(2, 2), (2, 4), (4, 4), (2, 6)])
         if g.n == 0 or min(g.degrees) < a:
             continue
-        factor = ef.brute_force_even_factor(g, a, b)
+        factor = brute_force_even_factor(g, a, b)
         if factor is None:
             continue
         found += 1
@@ -699,7 +722,7 @@ def test_find_ab_factor_agrees_with_backtracking_search():
         g = random_graph_edge_capped(rng, rng.randint(1, 9), rng.random(), 24)
         a, b = rng.choice(pairs)
         got = ef.find_ab_factor(g, a, b)
-        expected = _degree_interval_search(g, a, b, require_even=False)
+        expected = degree_interval_search(g, a, b, require_even=False)
         assert (got is None) == (expected is None), (sorted(g.edges), a, b)
         if got is not None:
             present += 1
@@ -717,7 +740,7 @@ def _lovasz_factor_exists(g, a, b):
     for assign in itertools.product(range(3), repeat=g.n):
         s = [v for v in range(g.n) if assign[v] == 1]
         t = [v for v in range(g.n) if assign[v] == 2]
-        if ef.lovasz_deficiency(g, lower, upper, s, t) < 0:
+        if lovasz_deficiency(g, lower, upper, s, t) < 0:
             return False
     return True
 
