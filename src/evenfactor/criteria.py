@@ -211,9 +211,8 @@ def criterion_decide(g: Graph, a: int, b: int
     Graphs with more than ``EXHAUSTIVE_VERTEX_CAP`` vertices raise
     :class:`ScaleError` before any enumeration.
     """
-    # numpy is imported on first use: imported with this module, ahead of
-    # search, constructions and spectral, it made a fresh `import evenfactor`
-    # about 7% slower and its peak RSS up to 1 MB higher.
+    # numpy is imported inside the functions that compute with it, so
+    # `import evenfactor` loads none of it.
     import numpy as np
 
     _require_even_pair(a, b)

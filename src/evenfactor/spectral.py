@@ -3,7 +3,9 @@
 The eigenvalue comes from one symmetric eigensolve per connected component
 (``numpy.linalg.eigh``); disconnected graphs take the maximum over
 components, so a graph of many small components never builds one large
-dense matrix.
+dense matrix.  numpy is imported inside ``lambda1``, its only user, as in
+every module that computes with it, so ``import evenfactor`` loads none of it
+and the first eigensolve pays for the import.
 Threshold comparisons carry a guard band: values within it are reported as
 boundary cases instead of being silently classified, because the bipartite
 threshold claim is sharp at equality.
@@ -16,8 +18,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ScaleError
 from .graph import Edge, Graph, build_graph, components_after_deletion
@@ -51,6 +51,8 @@ class SpectralResult:
 def lambda1(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue, with the residual ||Av - lambda*v||_inf of
     the eigenvector that ``numpy.linalg.eigh`` returns for it."""
+    import numpy as np
+
     if g.n < 1:
         raise ValueError("eigenvalue undefined for the empty graph")
     best, best_residual = 0.0, 0.0
