@@ -13,6 +13,7 @@ that sharp boundary instances are classified correctly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -184,22 +185,25 @@ def criterion_decide(g: Graph, a: int, b: int
     number of edges between T and G-S-T), so a positive value is at least 2
     and W is dropped when ub < max(2, best).
 
-    The splits of the surviving W are evaluated in blocks of at most
-    ``_BLOCK`` (W, T) pairs, rows of one block padded to the widest W in it;
-    a W with more than ``_BLOCK_BITS`` members is a block of its own.
-    T and its odd-cut vector P are built per row by doubling over the
-    members of W, and
+    With gain(v) = a + b - |N(v) - W|, a split (S, T) of W has
 
-        value = popcount(P) - b|S| + D[T] + E[W] - E[S] - E[T]
+        value = popcount(P) + sum_{v in T} gain(v) - 2 E[T] - b|W|
 
-    with per-subset int32 tables E[X] (edges inside X) and
-    D[X] = sum_{v in X} (a - deg v).  Among a block's maxima the witness is
-    the argmin of the int64 key from :func:`_split_keys`, which orders like
-    (|S|, |T|, S, T); ties across blocks compare keys, so the witness does
-    not depend on the order of evaluation.  Memory is bounded by the
-    largest block, at most 2^n splits (about 1 MB per int32 array at the
-    vertex cap), and by the O(2^n n) tables; no array of all 3^n splits is
-    built.
+    where P, the XOR of the parity masks of T, is its odd-cut vector and
+    E[T] counts the edges inside T.  The splits of the surviving W are
+    evaluated in blocks of at most ``_BLOCK`` (W, T) pairs, rows of one
+    block padded to the widest W in it with at most ``_PAD`` padding splits
+    in all; a W with more than ``_BLOCK_BITS`` members is a block of its
+    own.  Before a block is built, its rows are pruned again against the
+    best value so far.  Per row, T | P << 32 (one int64) and the gain sum
+    are built by doubling over the members of W; 2 E[T] comes from an int32
+    table over all subsets, and the value is scored in place.  Among a
+    block's maxima the witness is the argmin of the int64 key from
+    :func:`_split_keys`, which orders like (|S|, |T|, S, T); ties across
+    blocks compare keys, so the witness does not depend on where the blocks
+    are cut.  A block holds 16 bytes per split, at most 2^n splits (4 MB at
+    the vertex cap); with the O(2^n n) tables this bounds the memory, and no
+    array of all 3^n splits is built.
 
     Values fit int32 for any (a, b).  When b > (a+1)(n-1), every split with
     S nonempty is negative and the others do not depend on b; when
@@ -230,28 +234,23 @@ def criterion_decide(g: Graph, a: int, b: int
     adj[:n] = g.adjacency_masks
     full = (1 << n) - 1
 
-    # E[X], F[X] = sum_{v in X} (a + b - deg v) - E[X] and the neighbourhood
-    # NB[X] of X, doubled over the vertices.  With |S| = |W| - |T|,
-    # value = popcount(P) + F[T] - E[S] + E[W] - b|W|.
-    e_tab = np.zeros(1 << n, dtype=np.int32)
-    f_tab = np.zeros(1 << n, dtype=np.int32)
+    # E2[X] = 2 * (edges inside X) and the neighbourhood NB[X] of X,
+    # doubled over the vertices.
+    e2_tab = np.zeros(1 << n, dtype=np.int32)
     nb_tab = np.zeros(1 << n, dtype=np.int32)
     for v in range(n):
         h = 1 << v
         inside = np.bitwise_count(subsets.masks[:h] & adj[v])
-        np.add(e_tab[:h], inside, out=e_tab[h:2 * h])
-        np.subtract(f_tab[:h], inside, out=f_tab[h:2 * h])
-        f_tab[h:2 * h] += a_run + b_run - g.degrees[v]
+        np.add(e2_tab[:h], inside << 1, out=e2_tab[h:2 * h])
         np.bitwise_or(nb_tab[:h], adj[v], out=nb_tab[h:2 * h])
     # nbr[:, j]: the j-th neighbour of each vertex, n where there is none.
     nbr = np.full((n + 1, max(g.degrees, default=0)), n, dtype=np.intp)
     for v, nb in enumerate(g.adjacency):
         nbr[v, :len(nb)] = sorted(nb)
 
-    best_value = 0
-    best_key = -1
-    best_split = None
-    # A chunk of W holds about _BLOCK (W, vertex) entries per array.
+    best = (0, -1, None)
+    # A chunk of W holds about _BLOCK (W, vertex) entries per array.  Each
+    # array is freed once used, so that the next stage's arrays replace it.
     chunk = _BLOCK // max(n, 1)
     for c0 in range(0, 1 << n, chunk):
         w = subsets.by_size[c0:c0 + chunk]
@@ -260,68 +259,57 @@ def criterion_decide(g: Graph, a: int, b: int
         # reach[i, u]: the component of u in G - W (0 for u in W), grown
         # one step at a time; a sum that stops growing means a fixed point.
         reach = bit & outside
+        nxt = np.empty_like(reach)
         total = reach.sum(dtype=np.int64)
         while True:
-            nxt = np.take(nb_tab, reach)
+            np.take(nb_tab, reach, out=nxt, mode="clip")
             nxt |= reach
             nxt &= outside
-            reach = nxt
+            reach, nxt = nxt, reach
             grown = reach.sum(dtype=np.int64)
             if grown == total:
                 break
             total = grown
-        root = reach ^ (reach & (reach - 1))
-        # max(a - |N(v) - W|, -b) = a - min(|N(v) - W|, a + b)
+        # root[i, u]: the lowest vertex of u's component, as a bit.
+        root = np.negative(reach, out=nxt)
+        root &= reach
+        del reach, nxt
+        # gain[i, v] = a + b - |N(v) - W|.  Since
+        # max(a - |N(v) - W|, -b) = max(gain, 0) - b,
+        # ub = #components + sum_{v in W} max(gain, 0) - b|W|.
+        gain = np.int32(a_run + b_run) - np.bitwise_count(adj & outside)
         in_w = (w[:, None] >> vertices) & 1
-        out_deg = np.minimum(np.bitwise_count(adj & outside), min(a_run + b_run, n))
-        ub = (np.bitwise_count(np.bitwise_or.reduce(root, axis=1)) + a_run * sizes
-              - (out_deg * in_w).sum(axis=1, dtype=np.int32))
-        rows = np.flatnonzero(ub >= max(2, best_value))
+        in_w *= np.maximum(gain, 0)
+        ub = (np.bitwise_count(np.bitwise_or.reduce(root, axis=1))
+              + in_w.sum(axis=1, dtype=np.int32) - b_run * sizes)
+        del in_w
+        rows = np.flatnonzero(ub >= max(2, best[0]))
         if not len(rows):
             continue
-        w, sizes, root = w[rows], sizes[rows], root[rows]
-        members = subsets.members[c0 + rows]
+        w, sizes, root, ub, gain = w[rows], sizes[rows], root[rows], ub[rows], gain[rows]
         # parity[i, v]: bit c set when v has an odd number of neighbours in
         # the component of G - W whose lowest vertex is c.
         parity = np.zeros_like(root)
         for j in range(nbr.shape[1]):
             parity ^= root[:, nbr[:, j]]
-        row_const = np.take(e_tab, w) - b_run * sizes
+        del root
+        # step_tp[i, j], step_lin[i, j]: what the j-th member v of row i adds
+        # to T | P << 32 and to the linear part of the value: bit v with
+        # v's parity mask, and gain - 1, the 1 being v's own bit in the
+        # popcount.  Members past the row's size are the column n, which
+        # adds nothing.
+        members = subsets.members[c0 + rows]
+        cols = np.arange(len(rows))[:, None]
+        step_tp = np.left_shift(parity[cols, members], 32, dtype=np.int64)
+        del parity
+        step_tp |= bit[members]
+        gain -= 1
+        gain[:, n] = 0
+        step_lin = gain[cols, members]
+        del gain, members
+        best = _best_in_blocks(w, sizes, ub, step_tp, step_lin, e2_tab, b_run, best)
 
-        for r0, r1 in _row_blocks(sizes.tolist()):
-            k = int(sizes[r1 - 1])
-            # t[x, i], p[x, i]: the x-th subset T of row i's members and its
-            # odd-cut vector, doubled over the members (members past the
-            # row's own size are the empty column n).
-            pos = members[r0:r1, :k].astype(np.intp)
-            step_t = bit[pos]
-            step_p = parity[np.arange(r0, r1)[:, None], pos]
-            t = np.empty((1 << k, r1 - r0), dtype=np.int32)
-            p = np.empty_like(t)
-            t[0] = p[0] = 0
-            for j in range(k):
-                h = 1 << j
-                np.bitwise_xor(t[:h], step_t[:, j], out=t[h:2 * h])
-                np.bitwise_xor(p[:h], step_p[:, j], out=p[h:2 * h])
-            s = w[r0:r1] ^ t
-            score = np.take(f_tab, t)
-            score += np.bitwise_count(p)
-            score -= np.take(e_tab, s)
-            score += row_const[r0:r1]
-            top = int(score.max())
-            if top < max(2, best_value):
-                continue
-            hits = np.flatnonzero(score == top)
-            s_hit = s.ravel()[hits]
-            t_hit = t.ravel()[hits]
-            keys = _split_keys(n, s_hit, t_hit)
-            i_min = int(keys.argmin())
-            key = int(keys[i_min])
-            if top == best_value and key >= best_key:
-                continue
-            best_value, best_key = top, key
-            best_split = int(s_hit[i_min]), int(t_hit[i_min])
-
+    best_value, _, best_split = best
     if best_split is None:
         return True, None
     s_tuple, t_tuple = (_mask_to_tuple(x) for x in best_split)
@@ -329,9 +317,76 @@ def criterion_decide(g: Graph, a: int, b: int
     return False, CriterionWitness(s_tuple, t_tuple, value)
 
 
+def _best_in_blocks(w: np.ndarray, sizes: np.ndarray, ub: np.ndarray,
+                    step_tp: np.ndarray, step_lin: np.ndarray, e2_tab: np.ndarray,
+                    b: int, best: tuple[int, int, tuple[int, int] | None]
+                    ) -> tuple[int, int, tuple[int, int] | None]:
+    """Evaluate the splits of rows W, sizes nondecreasing, block by block
+    (see :func:`criterion_decide`) and return the updated best (value, key,
+    (S, T) masks).  The block buffers are freed on return, before the next
+    chunk's arrays are built."""
+    import numpy as np
+
+    n = len(e2_tab).bit_length() - 1
+    best_value, best_key, best_split = best
+    bar = max(2, best_value)
+    spans = _row_blocks(sizes.tolist())
+    # The blocks share three buffers sized for the largest one.
+    size = max((r1 - r0) << int(sizes[r1 - 1]) for r0, r1 in spans)
+    tp_buf = np.empty(size, dtype=np.int64)
+    lin_buf = np.empty(size, dtype=np.int32)
+    score_buf = np.empty(size, dtype=np.int32)
+    lin0 = sizes * -b
+    for r0, r1 in spans:
+        # Rows whose bound fell below a best value found since the rows
+        # were pruned are dropped before their block is built.
+        rows = slice(r0, r1)
+        if bar < max(2, best_value):
+            rows = r0 + np.flatnonzero(ub[rows] >= max(2, best_value))
+            if not len(rows):
+                continue
+        w_rows = w[rows]
+        k = int(sizes[rows][-1])
+        # tp[x, i], lin[x, i]: for the x-th subset T of row i's members,
+        # T | P << 32 with P its odd-cut vector, and the sum of its members'
+        # steps less b|W|, doubled over the members.
+        shape = (1 << k, len(w_rows))
+        tp = tp_buf[:shape[0] * shape[1]].reshape(shape)
+        lin = lin_buf[:tp.size].reshape(shape)
+        tp[0] = 0
+        lin[0] = lin0[rows]
+        step_tp_k = step_tp[rows, :k]
+        step_lin_k = step_lin[rows, :k]
+        for j in range(k):
+            h = 1 << j
+            np.bitwise_xor(tp[:h], step_tp_k[:, j], out=tp[h:2 * h])
+            np.add(lin[:h], step_lin_k[:, j], out=lin[h:2 * h])
+        # value = popcount(T | P << 32) + lin - E2[T]; tp keeps only T after.
+        score = np.bitwise_count(tp, out=score_buf[:tp.size].reshape(shape))
+        score += lin
+        tp &= (1 << n) - 1
+        score -= np.take(e2_tab, tp, out=lin, mode="clip")
+        top = int(score.max())
+        if top < max(2, best_value):
+            continue
+        hits = np.flatnonzero(score == top)
+        t_hit = tp.ravel()[hits]
+        s_hit = w_rows[hits % len(w_rows)] ^ t_hit
+        keys = _split_keys(n, s_hit, t_hit)
+        i_min = int(keys.argmin())
+        key = int(keys[i_min])
+        if top == best_value and key >= best_key:
+            continue
+        best_value, best_key = top, key
+        best_split = int(s_hit[i_min]), int(t_hit[i_min])
+    return best_value, best_key, best_split
+
+
 #: log2 of the most (W, T) splits one numpy block holds.
-_BLOCK_BITS = 12
+_BLOCK_BITS = 14
 _BLOCK = 1 << _BLOCK_BITS
+#: The most padding splits one block may add over its rows' own splits.
+_PAD = 1 << 12
 
 
 class _SubsetTables(NamedTuple):
@@ -383,16 +438,30 @@ def _split_keys(n: int, s: np.ndarray, t: np.ndarray) -> np.ndarray:
             | (full - np.take(rev, t)))
 
 
-def _row_blocks(sizes: list[int]) -> list[tuple[int, int]]:
+def _row_blocks(sizes: Sequence[int]) -> list[tuple[int, int]]:
     """Cut rows with nondecreasing sizes k into spans [r0, r1) whose rows,
-    each widened to 2^k_max splits, hold at most _BLOCK; a row with more
-    than _BLOCK_BITS members is a span of its own."""
+    each widened to 2^k_max splits, hold at most _BLOCK splits, of which at
+    most _PAD are padding; a row with more than _BLOCK_BITS members is a
+    span of its own.
+
+    Rows join the open span greedily.  Only the first row of a run of
+    equal k can add padding, so each run is cut with arithmetic."""
     spans = []
-    start = 0
-    for r, k in enumerate(sizes):
-        if (r + 1 - start) << min(k, _BLOCK_BITS) > _BLOCK:
+    start = real = r = 0
+    while r < len(sizes):
+        k = sizes[r]
+        end = bisect_right(sizes, k, r)
+        count = r - start
+        if count and ((count + 1) << k > _BLOCK or (count << k) - real > _PAD):
             spans.append((start, r))
-            start = r
+            start, real = r, 0
+        per = max(1, _BLOCK >> k)
+        while end - start > per:
+            spans.append((start, start + per))
+            start += per
+            real = 0
+        real += (end - max(start, r)) << k
+        r = end
     if start < len(sizes):
         spans.append((start, len(sizes)))
     return spans

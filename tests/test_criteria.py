@@ -359,6 +359,60 @@ def test_split_keys_order_like_tuple_keys():
             sorted(range(len(splits)), key=splits.__getitem__)
 
 
+@pytest.mark.parametrize("block_bits, pad", [(4, 4), (6, 16)])
+def test_criterion_answer_does_not_depend_on_block_cuts(monkeypatch, block_bits, pad):
+    # Blocks of 16 or 64 splits put the tied maxima of one W, and of W next
+    # to each other, in different blocks, and leave several blocks per chunk
+    # for the pruning before each block; the witness must still be the one
+    # found with the default blocks.  K_n minus the matching {i, n - i} at
+    # a = n - 1 ties T = {0, 2, 3} with the smaller key T = {0, 1, 4} (n = 5)
+    # in a W visited later, so only the key comparison across blocks finds it.
+    rng = random.Random(23)
+    graphs = [random_graph(rng, n, p) for n in range(7, 12) for p in (0.25, 0.6)]
+    graphs += [ef.cycle_graph(7), ef.cycle_graph(9), ef.complete_bipartite(1, 7),
+               ef.complete_bipartite(2, 7), ef.complete_bipartite(3, 6)]
+    cases = [(g, a, b) for g in graphs for a, b in [(2, 4), (4, 6)]]
+    for n in (5, 7):
+        cases.append((ef.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                         if u + v != n]), n - 1, n - 1))
+    expected = [ef.criterion_decide(g, a, b) for g, a, b in cases]
+    monkeypatch.setattr(criteria, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(criteria, "_BLOCK", 1 << block_bits)
+    monkeypatch.setattr(criteria, "_PAD", pad)
+    assert [ef.criterion_decide(g, a, b) for g, a, b in cases] == expected
+    assert expected[-2][1].T == (0, 1, 4)
+    assert sum(not holds for holds, _ in expected) >= 10
+
+
+def test_row_blocks_cut_rows_into_full_spans():
+    # Spans cover the rows in order, hold at most _BLOCK padded splits (a
+    # lone row of more than _BLOCK_BITS members excepted) with at most _PAD
+    # of padding, and each cut is forced: the next row would break a bound.
+    def padded(sizes, r0, r1):
+        return (r1 - r0) << sizes[r1 - 1]
+
+    def padding(sizes, r0, r1):
+        return padded(sizes, r0, r1) - sum(1 << k for k in sizes[r0:r1])
+
+    rng = random.Random(4)
+    lists = [criteria._subset_tables(n).sizes.tolist() for n in (0, 1, 6, 9, 16)]
+    for _ in range(300):
+        n = rng.randint(0, EXHAUSTIVE_VERTEX_CAP)
+        lists.append(sorted(rng.choice([rng.randint(0, n), rng.randint(n // 2, n)])
+                            for _ in range(rng.randint(0, 400))))
+    for sizes in lists:
+        spans = criteria._row_blocks(sizes)
+        assert [r for r0, r1 in spans for r in range(r0, r1)] == list(range(len(sizes)))
+        assert all(r0 < r1 for r0, r1 in spans)
+        for r0, r1 in spans:
+            lone = r1 - r0 == 1 and sizes[r0] > criteria._BLOCK_BITS
+            assert lone or padded(sizes, r0, r1) <= criteria._BLOCK
+            assert padding(sizes, r0, r1) <= criteria._PAD
+        for (r0, r1), _ in zip(spans, spans[1:]):
+            assert (padded(sizes, r0, r1 + 1) > criteria._BLOCK
+                    or padding(sizes, r0, r1 + 1) > criteria._PAD)
+
+
 def test_criterion_pins_at_thirteen_and_fourteen_vertices():
     # Every (holds, witness) below was recorded with the earlier
     # criterion_decide that walked the splits of each W one at a time in
