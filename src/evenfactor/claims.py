@@ -17,8 +17,8 @@ from .criteria import conjecture_conditions, order_threshold, prop_f_eval, \
     _deficiency_terms, _require_even_pair
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import find_ab_factor, find_even_factor
-from .spectral import bipartite_threshold, classify_threshold, conjecture_sweep, \
-    lambda1, observation_decide, rho, sweep_summary
+from .spectral import THRESHOLD_GUARD, bipartite_threshold, classify_threshold, \
+    conjecture_sweep, lambda1, observation_decide, rho, sweep_summary
 
 PARITY_SEED = 20240801
 PARITY_TRIALS = 10_000
@@ -194,7 +194,7 @@ def _bipartite_grid(min_n_over_2a: bool) -> ClaimRow:
                if min_n_over_2a else " (full grid x+y <= 14)"))
     return ClaimRow(
         name, desc,
-        {"max_n": 14, "pairs": pairs, "guard": 1e-9,
+        {"max_n": 14, "pairs": pairs, "guard": THRESHOLD_GUARD,
          "restrict_n_ge_2a": min_n_over_2a},
         {"compared": compared, "boundary": boundary,
          "mismatches": mismatches, "mismatch_count": len(mismatches)},

@@ -23,7 +23,9 @@ runs before the searches.  It roots its searches only at nodes that must be
 covered, and each search then works only on the vertices it labels, so its
 cost follows the search tree rather than the size of the gadget.  Blossom
 bases are kept in a union-find, so a blossom contraction costs the
-blossom's path, not the search tree.
+blossom's path, not the search tree.  A search that fails leaves its tree
+dead, labels kept, and later searches skip it, so an absent answer pays
+once for each region no matching can cover, not once per uncovered node.
 """
 
 from __future__ import annotations
@@ -235,13 +237,50 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
     matched optional node that becomes even (outer); flipping the even
     alternating path to it covers the root and exposes that node.  Either
     way every covered required node stays covered, so the covered required
-    nodes grow as in the greedy algorithm on the matching matroid, and a
-    root no search can cover stays uncoverable.  Blossom bases are a
-    union-find with path halving (Gabow 1976; Tarjan 1983, ch. 9): a
-    contraction walks each side of the blossom up to the lowest common
-    ancestor and points each set root it meets there, so it costs the
-    blossom's path, not the tree.  Only the nodes a search labels are reset
-    after it, so a search costs time in proportion to its tree, not to n.
+    nodes grow as in the greedy algorithm on the matching matroid.  Blossom
+    bases are a union-find with path halving (Gabow 1976; Tarjan 1983,
+    ch. 9): a contraction walks each side of the blossom up to the lowest
+    common ancestor and points each set root it meets there, so it costs the
+    blossom's path, not the tree.  After a search that covers its root, only
+    the nodes it labelled are reset, so a search costs time in proportion to
+    its tree, not to n.
+
+    A search that fails leaves its whole tree dead instead: its nodes keep
+    their labels, no later search enters them, and its root, with every
+    node of the tree, stays as it is for good (the Hungarian forest of
+    Edmonds 1965, "Paths, trees, and flowers"; Lovász and Plummer, *Matching
+    Theory*).  The classical lemma covers searches that only augment; here a
+    search may also end at a matched optional node, so the proof is given
+    in full.  Let D be the union of the dead trees so far; assume, by
+    induction over the searches, that each of them still has the matching
+    it had when it failed.
+
+    1. A failed tree holds no even optional node and no exposed node other
+       than its root: the search returns as soon as it labels an exposed
+       node odd, or makes an optional node even.  Each of its nodes but the
+       root is matched to another node of it.
+    2. Every neighbour of an even node of the tree lies in the tree or in D:
+       the search scanned each even node's neighbours and skipped only
+       those in D, each unlabelled one became odd, and any two adjacent
+       even nodes ended in one blossom.  The tree therefore reaches the
+       rest of the graph only through its odd nodes, by unmatched edges.
+    3. So an alternating path from a live root that enters D enters at an
+       odd node u, by an unmatched edge, and takes u's matched edge to the
+       base of the blossom below u.  From an even node it can go only to
+       nodes of D.  It leaves a blossom only by an unmatched edge to an odd
+       node of the same tree or, by step 2 for that tree, of an earlier
+       dead tree, and then takes that node's matched edge again.  So it
+       enters blossoms only at their bases, by matched edges, and never
+       enters a root's blossom, whose base has no mate.  It can never leave
+       D.  It can never end in D either: an augmenting path needs an
+       exposed end, and D's only exposed nodes are roots; a path that
+       turns an optional node even reaches it by its matched edge, which
+       in D makes it an even node, and D has no even optional node.
+
+    Every path that covers a later root, by augmenting or by turning a
+    matched optional node even, thus avoids D, so skipping D loses none of
+    them, the flip along it changes no mate in D, and the induction holds.
+    No live node's ``base`` or ``mate`` ever points into D.
     """
     if init is None:
         mate = [-1] * n
@@ -260,6 +299,7 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
     parent = [-1] * n
     base = list(range(n))
     even = [False] * n
+    dead = [False] * n
 
     def find(x: int) -> int:
         while base[x] != x:
@@ -316,7 +356,7 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
         while queue:
             v = queue.popleft()
             for to in chain(own[v], shared[v]):
-                if mate[v] == to:
+                if mate[v] == to or dead[to]:
                     continue
                 if even[to]:
                     if find(v) == find(to):
@@ -348,11 +388,14 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
     for v in range(n):
         if mate[v] < 0 and not is_optional[v]:
             touched = [v]
-            try_augment(v, touched)
-            for i in touched:
-                parent[i] = -1
-                base[i] = i
-                even[i] = False
+            if try_augment(v, touched):
+                for i in touched:
+                    parent[i] = -1
+                    base[i] = i
+                    even[i] = False
+            else:
+                for i in touched:
+                    dead[i] = True
     return mate
 
 
@@ -389,7 +432,10 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
     finish.  Soft singles are its optional nodes.  The searches read the
     gadget's blocks through shared per-vertex lists (:func:`_gadget_lists`),
     in O(nodes + m) space; the ``edges`` and ``decode`` views are never
-    expanded here.
+    expanded here.  A search that fails freezes its tree: the dead nodes
+    keep their labels and their mates, later searches skip them, and no
+    live node's ``base`` or ``mate`` ever points into a dead tree, so the
+    result still covers as many required nodes as any matching can.
     """
     n = instance.n_nodes
     real, pairs = instance.real, instance.pairs

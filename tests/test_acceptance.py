@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import evenfactor as ef
-from evenfactor import claims
+from evenfactor import claims, spectral
 from helpers import brute_force_even_factor
 
 
@@ -192,7 +192,8 @@ def test_criterion_6_bipartite_threshold_equivalence_full_grid():
                     continue
                 if (cls == "above") != closed:
                     mismatches.add((x, y, a, b, "spectral-vs-closed"))
-    grid = claims.repro_report(["bipartite-threshold-grid"])[0].observed
+    row = claims.repro_report(["bipartite-threshold-grid"])[0]
+    grid = row.observed
     claimed = [m[:4] for m in grid["mismatches"]]
     checks = {
         "closed==search": all(m[4] != "closed-vs-search" for m in mismatches),
@@ -203,6 +204,7 @@ def test_criterion_6_bipartite_threshold_equivalence_full_grid():
         "claim==derived": (len(claimed) == grid["mismatch_count"] == len(derived)
                            and set(claimed) == {d[:4] for d in derived}),
         "boundary==exact ties": boundary == exact_ties,
+        "claim guard==classifier's": row.params["guard"] == spectral.THRESHOLD_GUARD,
     }
     failed = [k for k, v in checks.items() if not v]
     ok = _report(6, not failed,

@@ -375,12 +375,19 @@ def test_criterion_answer_does_not_depend_on_block_cuts(monkeypatch, block_bits,
     for n in (5, 7):
         cases.append((ef.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                          if u + v != n]), n - 1, n - 1))
+    # The double star 1, 2 - 0 - 5 - 3, 4 at [2, 4] ties T = {1, 2, 3} with
+    # the smaller key T = {0, 3, 4} at value 4, and the bound of W = {0, 3, 4}
+    # is exactly 4.  With 64-split blocks both W lie in one chunk, {0, 3, 4}
+    # in a later block, so the re-check before that block must keep a row
+    # whose bound equals the best value found earlier in the chunk.
+    cases.append((ef.build_graph(6, [(0, 1), (0, 2), (0, 5), (3, 5), (4, 5)]), 2, 4))
     expected = [ef.criterion_decide(g, a, b) for g, a, b in cases]
     monkeypatch.setattr(criteria, "_BLOCK_BITS", block_bits)
     monkeypatch.setattr(criteria, "_BLOCK", 1 << block_bits)
     monkeypatch.setattr(criteria, "_PAD", pad)
     assert [ef.criterion_decide(g, a, b) for g, a, b in cases] == expected
-    assert expected[-2][1].T == (0, 1, 4)
+    assert expected[-3][1].T == (0, 1, 4)
+    assert expected[-1] == (False, ef.CriterionWitness((), (0, 3, 4), 4))
     assert sum(not holds for holds, _ in expected) >= 10
 
 

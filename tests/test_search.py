@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import networkx as nx
@@ -433,6 +434,98 @@ def test_matching_with_optional_nodes_covers_the_most_required_nodes():
         assert size == _networkx_matching_size(n, g.sorted_edges())
 
 
+def _some_optional(rng, n):
+    return {v for v in range(n) if rng.random() < 0.2} if rng.random() < 0.3 else set()
+
+
+def _unbalanced_bipartite(rng, most=8):
+    x = rng.randint(3, most)
+    y = rng.randint(x + 2, 2 * x + 4)
+    p = rng.choice([0.3, 0.6, 1.0])
+    edges = [(u, v) for u in range(x) for v in range(x, x + y) if rng.random() < p]
+    return x + y, edges, _some_optional(rng, x + y)
+
+
+def _pendant_paths_on_odd_cycles(rng):
+    """Odd cycles, each with pendant paths hung on it, and a few edges
+    joining random nodes: blossoms whose stems run out into dead ends."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 4)):
+        length = rng.choice([3, 5, 7])
+        cycle = list(range(n, n + length))
+        edges += [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+        n += length
+        for _ in range(rng.randint(1, 3)):
+            tail = rng.choice(cycle)
+            for _ in range(rng.randint(1, 4)):
+                edges.append((tail, n))
+                tail, n = n, n + 1
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.append((u, v))
+    return n, edges, _some_optional(rng, n)
+
+
+def _gadget(rng):
+    """The explicit gadget of an unbalanced bipartite host joined by a few
+    edges to a random graph, so the gadget has a region with no perfect
+    matching beside one that has: an even gadget, with no optional nodes,
+    or a parity-free one, whose soft singles are optional."""
+    while True:
+        n, edges, _ = _unbalanced_bipartite(rng, most=4)
+        rest = random_graph(rng, rng.randint(3, 6), rng.choice([0.5, 0.8]))
+        edges += [(n + u, n + v) for u, v in rest.edges]
+        edges += [(rng.randrange(n), n + rng.randrange(rest.n))
+                  for _ in range(rng.randint(1, 3))]
+        g = ef.build_graph(n + rest.n, edges)
+        even = rng.random() < 0.5
+        a, b = rng.choice([(2, 2), (2, 4)] if even else [(1, 2), (1, 3), (2, 3)])
+        if min(g.degrees) >= a:
+            break
+    ref = (explicit_gadget(ef.loop_augment(g, a, b), b) if even
+           else explicit_gadget((g, 0), b, a))
+    return ref.n_nodes, list(ref.edges), {s for per in ref.singles for s in per}
+
+
+def test_pruned_search_trees_never_block_a_later_search(monkeypatch):
+    # A failed search freezes its tree for every later search, so these
+    # inputs need failed searches followed by successful ones: roots in a
+    # random order, on graphs with no perfect matching.  Each search starts
+    # from deque([root]), so a spy on deque lists the roots in order, and a
+    # root left exposed is one whose search failed.
+    roots = []
+
+    def spy(items):
+        roots.append(items[0])
+        return deque(items)
+
+    monkeypatch.setattr(search, "deque", spy)
+    rng = random.Random(44)
+    families = [_unbalanced_bipartite, _pendant_paths_on_odd_cycles, _gadget]
+    fail_then_succeed = dict.fromkeys((f.__name__ for f in families), 0)
+    for _ in range(200):
+        for family in families:
+            n, edges, optional = family(rng)
+            perm = rng.sample(range(n), n)
+            edges = [(perm[u], perm[v]) for u, v in edges]
+            optional = {perm[v] for v in optional}
+            adj = gadget_adjacency(n, edges)
+            roots.clear()
+            mate = blossom_matching(n, adj, optional=optional)
+            _assert_valid_mate(mate, adj)
+            failed = [mate[r] < 0 for r in roots]
+            first_fail = failed.index(True) if True in failed else len(failed)
+            fail_then_succeed[family.__name__] += False in failed[first_fail:]
+            if optional:
+                covered = sum(mate[v] >= 0 for v in range(n) if v not in optional)
+                assert covered == _networkx_required_cover(n, edges, optional)
+            else:
+                size = sum(v >= 0 for v in mate) // 2
+                assert size == _networkx_matching_size(n, edges)
+    assert min(fail_then_succeed.values()) >= 25, fail_then_succeed
+
+
 def _assert_warm_matches_cold(looped, b, a=None):
     """max_matching's greedy warm start against matching from scratch and
     networkx on the explicit reference gadget: the same count of covered
@@ -617,6 +710,21 @@ def test_find_even_factor_on_k100_at_a_equals_b_is_fast():
     factor = ef.find_even_factor(g, 50, 50)
     assert time.process_time() - start < 5.0
     assert factor.degrees == (50,) * 100
+
+
+def test_find_ab_factor_on_the_slowest_absent_flow_draw_is_fast():
+    # The first draw of the seed-1 bipartite flow stream below, K(53,84)
+    # thinned at [4,4], has no factor: many ports of the larger side can
+    # never be covered.  Each failed search freezes its tree, so the next
+    # search skips it instead of walking the same region again; without
+    # that, this one decision took 0.16-0.24 s of CPU.
+    g, x, a, b = next(_bipartite_flow_draws(random.Random(1), _any_parity_draw))
+    assert (x, g.n - x, a, b) == (53, 84, 4, 4)
+    start = time.process_time()
+    factor = ef.find_ab_factor(g, a, b)
+    assert time.process_time() - start < 0.1
+    assert factor is None
+    assert not _bipartite_factor_flow_exists(g, x, a, b)
 
 
 def test_find_even_factor_finds_the_factor_behind_a_nested_blossom():
@@ -816,51 +924,55 @@ def _random_bipartite(rng, x, y, p):
                                   if rng.random() < p])
 
 
-def _check_against_bipartite_flow(rng, count, draw, find, require_even):
-    """Draw ``count`` bipartite graphs with at least 100 vertices and minimum
-    degree at least a, so no answer is the low-degree shortcut, and compare
-    ``find`` with the flow oracle; return the number of absent answers."""
-    absent = done = 0
-    while done < count:
-        x, y, a, b = draw()
+def _bipartite_flow_draws(rng, draw):
+    """Bipartite graphs with sides of ``draw(rng)`` and at least 100
+    vertices, each with minimum degree at least a, so no answer is the
+    low-degree shortcut: an endless stream of ``(g, x, a, b)``."""
+    while True:
+        x, y, a, b = draw(rng)
         g = _random_bipartite(rng, x, y, rng.uniform(0.9 * a, 2.5 * a) / min(x, y))
-        if min(g.degrees) < a:
-            continue
-        done += 1
+        if min(g.degrees) >= a:
+            yield g, x, a, b
+
+
+def _check_against_bipartite_flow(rng, count, draw, find, require_even):
+    """Compare ``find`` with the flow oracle on the first ``count`` graphs
+    of the stream; return the number of absent answers."""
+    absent = 0
+    for g, x, a, b in itertools.islice(_bipartite_flow_draws(rng, draw), count):
         got = find(g, a, b)
         expected = _bipartite_factor_flow_exists(g, x, a, b)
-        assert (got is not None) == expected, (x, y, a, b, sorted(g.edges))
+        assert (got is not None) == expected, (x, g.n - x, a, b, sorted(g.edges))
         if got is not None:
             assert ef.verify_factor(g, got, a, b, require_even)
         absent += not expected
     return absent
 
 
-def test_find_ab_factor_agrees_with_a_bipartite_flow_above_the_caps():
+def _any_parity_draw(rng):
     # sides 50..60 and 40..80, so n >= 100; the bigger side needs more than
     # the smaller can give when b|X| < a|Y|, and sparse graphs fail locally
-    rng = random.Random(1)
+    x = rng.randint(50, 60)
+    a = rng.randint(1, 4)
+    return x, rng.randint(100 - x, 140 - x), a, a + rng.randint(0, 3)
 
-    def draw():
-        x = rng.randint(50, 60)
-        a = rng.randint(1, 4)
-        return x, rng.randint(100 - x, 140 - x), a, a + rng.randint(0, 3)
 
-    absent = _check_against_bipartite_flow(rng, 100, draw, ef.find_ab_factor, False)
+def test_find_ab_factor_agrees_with_a_bipartite_flow_above_the_caps():
+    absent = _check_against_bipartite_flow(random.Random(1), 100, _any_parity_draw,
+                                           ef.find_ab_factor, False)
     assert 30 <= absent <= 70
 
 
 def test_find_even_factor_agrees_with_a_bipartite_flow_above_the_caps():
     # at [a,a] with a even every a-factor is even; most graphs are balanced,
     # and the rest, one to three vertices apart, cannot have a factor
-    rng = random.Random(2)
-
-    def draw():
+    def draw(rng):
         x = rng.randint(50, 60)
         a = rng.choice([2, 4])
         return x, x if rng.random() < 0.7 else x + rng.randint(1, 3), a, a
 
-    absent = _check_against_bipartite_flow(rng, 100, draw, ef.find_even_factor, True)
+    absent = _check_against_bipartite_flow(random.Random(2), 100, draw,
+                                           ef.find_even_factor, True)
     assert 30 <= absent <= 70
 
 
