@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .graph import degree_profile, sigma2, edge_connectivity, vertex_connectivity
 from .criteria import conjecture_conditions, order_threshold, prop_f_eval, \
@@ -37,25 +38,51 @@ class ClaimRow:
 def _parity_samples():
     """The claim's seeded samples (n, adjacency masks, S mask, T mask), drawn
     in order: n, the edge probability, one draw per pair u < v, then one
-    side (0 outside, 1 in S, 2 in T) per vertex."""
+    side (0 outside, 1 in S, 2 in T) per vertex.
+
+    These are exactly the Mersenne-Twister draws that ``randint(1, 10)``,
+    ``choice`` of the three probabilities and ``randrange(3)`` make, written
+    out as the rejection loops CPython runs for them: ``getrandbits(4)``
+    until it is below 10, and ``getrandbits(2)`` until it is below 3.
+    ``random()`` is the one draw whose stream CPython promises to keep
+    across versions; the others are now pinned to ``getrandbits``.
+    ``tests/test_claims.py::test_parity_claim_values_equal_the_deficiency``
+    pins all samples against the public-API oracle
+    ``_graph_drawn_parity_samples``, which calls ``randint``, ``choice`` and
+    ``randrange``.
+
+    A sample's pair draws are one list, and only the drawn pairs of the
+    per-n table ``(u, v, 1 << u, 1 << v)`` are walked."""
     rng = random.Random(PARITY_SEED)
-    draw = rng.random
+    draw, bits = rng.random, rng.getrandbits
+    probs = (0.2, 0.5, 0.8)
+    pair_table = [[(u, v, 1 << u, 1 << v) for u in range(n) for v in range(u + 1, n)]
+                  for n in range(11)]
     for _ in range(PARITY_TRIALS):
-        n = rng.randint(1, 10)
-        p = rng.choice([0.2, 0.5, 0.8])
+        r = bits(4)
+        while r >= 10:
+            r = bits(4)
+        n = r + 1
+        c = bits(2)
+        while c >= 3:
+            c = bits(2)
+        p = probs[c]
+        pairs = pair_table[n]
         adj = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if draw() < p:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
+        for u, v, bit_u, bit_v in compress(pairs, [draw() < p for _ in pairs]):
+            adj[u] |= bit_v
+            adj[v] |= bit_u
         s_mask = t_mask = 0
-        for v in range(n):
-            side = rng.randrange(3)
+        bit = 1
+        for _ in range(n):
+            side = bits(2)
+            while side >= 3:
+                side = bits(2)
             if side == 1:
-                s_mask |= 1 << v
+                s_mask |= bit
             elif side == 2:
-                t_mask |= 1 << v
+                t_mask |= bit
+            bit <<= 1
         yield n, adj, s_mask, t_mask
 
 

@@ -57,8 +57,9 @@ def test_criterion_2_parity_lemma():
     violations = 0
     for _ in range(10_000):
         n = rng.randint(1, 10)
+        p = rng.choice([0.2, 0.5, 0.8])
         g = ef.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                               if rng.random() < rng.choice([0.2, 0.5, 0.8])])
+                               if rng.random() < p])
         side = [rng.randrange(3) for _ in range(n)]
         s = tuple(v for v in range(n) if side[v] == 1)
         t = tuple(v for v in range(n) if side[v] == 2)

@@ -74,6 +74,18 @@ def test_parity_claim_values_equal_the_deficiency():
     assert checked == 40_000
 
 
+def test_parity_samples_are_frozen():
+    # totals of the claim's inputs, so a drift of the draws fails even when
+    # the public-API oracle drifts with it
+    n_sum = m_sum = s_sum = t_sum = 0
+    for n, adj, s_mask, t_mask in claims._parity_samples():
+        n_sum += n
+        m_sum += sum(mask.bit_count() for mask in adj) // 2
+        s_sum += s_mask.bit_count()
+        t_sum += t_mask.bit_count()
+    assert (n_sum, m_sum, s_sum, t_sum) == (54575, 82000, 18140, 18120)
+
+
 def test_parity_invariance_row_is_pinned():
     row = claims.claim_parity_invariance()
     assert row.claim == "parity-invariance"
