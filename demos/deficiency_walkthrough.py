@@ -1,8 +1,9 @@
 """A tour of the deficiency criterion and the factor construction pipeline.
 
 Walks through small graphs end to end: evaluate the deficiency expression by
-hand-sized examples, decide the criterion exhaustively, then build an even
-factor through loop augmentation, gadget expansion, and maximum matching.
+hand-sized examples, decide the criterion on the matching gadget, then build
+an even factor through loop augmentation, gadget expansion, and maximum
+matching.
 """
 
 import evenfactor as ef
@@ -21,7 +22,8 @@ print("  q(S,T) =", ef.odd_cut_q(star, (), (0,)), "(three leaves, each odd cut)"
 print("  deficiency =", ef.even_factor_deficiency(star, 2, 2, (), (0,)),
       " -> positive, so the criterion fails here")
 holds, witness = ef.criterion_decide(star, 2, 2)
-print("  exhaustive maximum over all (S,T):", ef.to_json(witness))
+print("  a maximiser over all (S,T), read off the gadget matching:",
+      ef.to_json(witness))
 print("  parity of every value matches the bounds:",
       ef.parity_check(star, 2, 2, (), (0,)))
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .graph import degree_profile, sigma2, edge_connectivity, vertex_connectivity
+from .graph import degree_profile, sigma2, edge_connectivity, \
+    vertex_connectivity, _require_even_pair
 from .criteria import conjecture_conditions, order_threshold, prop_f_eval, \
-    _deficiency_terms, _require_even_pair
+    _deficiency_terms
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import find_ab_factor, find_even_factor
 from .spectral import THRESHOLD_GUARD, bipartite_threshold, classify_threshold, \

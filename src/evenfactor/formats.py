@@ -67,11 +67,11 @@ def from_edge_list_text(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def to_dot(g: Graph, name: str = "G", header: str | None = None) -> str:
+def to_dot(g: Graph, header: str | None = None) -> str:
     lines = []
     if header is not None:
         lines.append(f"// {header}")
-    lines.append(f"graph {name} {{")
+    lines.append("graph G {")
     for v in range(g.n):
         lines.append(f"  {v};")
     for u, v in g.sorted_edges():

@@ -105,6 +105,20 @@ def _require_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _require_even_pair(a: int, b: int) -> None:
+    """Refuse bounds that are not integers, not both even, or not 2 <= a <= b,
+    naming them."""
+    _require_int("a", a)
+    _require_int("b", b)
+    problems = []
+    if a % 2 or b % 2:
+        problems.append(f"a and b must both be even, got a={a}, b={b}")
+    if not 2 <= a <= b:
+        problems.append(f"need 2 <= a <= b, got a={a}, b={b}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def _as_vertex_set(g: Graph, verts: Iterable[int], name: str) -> frozenset[int]:
     """The vertex ids ``verts`` as a set of ints in range(g.n).  Each id goes
     through ``operator.index``, so numpy integers become ints; any other id,

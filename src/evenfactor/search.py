@@ -36,8 +36,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, _require_int
-from .criteria import _require_even_pair
+from .graph import Edge, Graph, _require_even_pair, _require_int
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,9 @@ class MatchingInstance:
     them, which may stay exposed (empty in an even gadget), and ``pairs[v]``
     the soft pairs, each pair's two nodes joined to each other and to every
     port of v (empty in a parity-free gadget).  Matched, a soft pair's inner
-    edge leaves one of v's loops out of the b-factor.
+    edge leaves one of v's loops out of the b-factor.  The nodes in none of
+    these lists are the deficit nodes of the vertices below their least
+    degree, which have no neighbours (see :func:`tutte_gadget`).
 
     ``edges`` and ``decode`` are views of the blocks, expanded on first read
     and then cached; the matching never reads them.  ``edges`` lists every
@@ -149,16 +150,21 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
     ..., b-2k ports to real edges: perfect matchings correspond exactly to
     b-factors (Tutte 1952; Lovász 1970; Anstee 1985).  The (b - top)/2 loops
     that every b-factor must use, which occur only where d < b, get no
-    nodes, and k = 0 gives the plain gadget with d - b hard cores.  Vertices
-    with d + 2k < b cannot reach degree b: fail fast, naming one.
+    nodes, and k = 0 gives the plain gadget with d - b hard cores.
 
     Given a lower bound ``a``, the gadget is the parity-free one, which
     needs k = 0: top = min(b, d), d - top hard cores, and top - a
     soft singles, each joined to every port of v.  A matching that covers
     every port and hard core leaves between a and top ports to real edges,
     so such matchings correspond exactly to [a,b]-factors (Lovász 1970).
-    Vertices with d < a fail fast, naming one.  Bounds outside 0 <= b, or
-    0 <= a <= b when a is given, raise ValueError.
+
+    A vertex below its least degree, d < b - 2k (even gadget) or d < a
+    (parity-free), gets top = d, no hard cores, soft singles or soft pairs,
+    and as many deficit nodes as it lacks degree: nodes with no neighbours,
+    listed in no block, which every matching leaves exposed.  So no perfect
+    matching exists, as no factor does, and the exposed count of a maximum
+    matching still equals the maximum deficiency.  Bounds outside 0 <= b,
+    or 0 <= a <= b when a is given, raise ValueError.
     """
     g, k = looped
     _require_int("b", b)
@@ -173,11 +179,7 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
         raise ValueError(f"loop count k of looped = (g, k) must be >= 0, got {k}")
     if a is not None and k:
         raise ValueError("the parity-free gadget takes a loop-free graph, k = 0")
-    low = b if a is None else a
-    for v, d in enumerate(g.degrees):
-        if d + 2 * k < low:
-            raise ValueError(
-                f"vertex {v} has augmented degree {d + 2 * k} < {low}; no factor exists")
+    least = b - 2 * k if a is None else a
     real = g.sorted_edges()
     ports: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(real):
@@ -190,6 +192,8 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
         top = min(b, d)
         if a is None:
             top -= (b - top) % 2
+        if d < least:  # every port is left to a real edge
+            top = d
         n_cores = d - top
         n_singles = 0 if a is None else max(0, top - a)
         n_pairs = max(0, k - (b - top) // 2)
@@ -198,7 +202,7 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
         singles.append(tuple(range(counter, counter + n_singles)))
         counter += n_singles
         pairs.append(tuple((x, x + 1) for x in range(counter, counter + 2 * n_pairs, 2)))
-        counter += 2 * n_pairs
+        counter += 2 * n_pairs + max(0, least - d)  # and the deficit nodes
 
     return MatchingInstance(
         n_nodes=counter,
@@ -214,10 +218,14 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
                       shared: Sequence[Sequence[int]],
                       home: Sequence[Sequence[int] | None],
                       init: Sequence[int] | None,
-                      optional: Iterable[int]) -> list[int]:
+                      optional: Iterable[int]
+                      ) -> tuple[list[int], list[bool], list[bool]]:
     """Matching in a general graph that covers as many required nodes as any
     matching can, by alternating-tree searches with blossom contraction.
-    Returns the mate array (mate[v] = -1 for exposed v).
+    Returns the mate array (mate[v] = -1 for exposed v) and the labels
+    ``dead`` and ``even``: dead[v] when v lies in a search tree that failed,
+    and then even[v] when v is even in it.  Every other label is reset, so
+    even[v] implies dead[v].
 
     The graph is given as two neighbour lists per node: v's neighbours are
     ``own[v]`` followed by ``shared[v]``.  A shared list is one object read
@@ -396,13 +404,21 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
             else:
                 for i in touched:
                     dead[i] = True
-    return mate
+    return mate, dead, even
 
 
 def max_matching(instance: MatchingInstance) -> set[Edge]:
     """Matching of a gadget instance, as an edge set, that covers as many
     nodes other than soft singles as any matching can; on an even gadget,
-    a maximum-cardinality matching.
+    a maximum-cardinality matching.  See :func:`_gadget_matching`."""
+    mate = _gadget_matching(instance)[0]
+    return {(v, u) for v, u in enumerate(mate) if v < u}
+
+
+def _gadget_matching(instance: MatchingInstance
+                     ) -> tuple[list[int], list[bool], list[bool]]:
+    """The mate array of :func:`max_matching`'s matching, with the
+    ``dead`` and ``even`` labels that :func:`_blossom_matching` leaves.
 
     The search starts from a matching built per host vertex v, whose real
     degree may reach ``top`` = (ports of v) - (hard cores of v):
@@ -472,8 +488,7 @@ def max_matching(instance: MatchingInstance) -> set[Edge]:
             else:
                 mate[x], mate[y] = y, x
     optional = [s for singles in instance.singles for s in singles]
-    mate = _blossom_matching(n, *_gadget_lists(instance), mate, optional)
-    return {(v, mate[v]) for v in range(n) if 0 <= v < mate[v]}
+    return _blossom_matching(n, *_gadget_lists(instance), mate, optional)
 
 
 def _gadget_lists(instance: MatchingInstance):

@@ -3,9 +3,9 @@
 The eigenvalue comes from one symmetric eigensolve per connected component
 (``numpy.linalg.eigh``); disconnected graphs take the maximum over
 components, so a graph of many small components never builds one large
-dense matrix.  numpy is imported inside ``lambda1``, its only user, as in
-every module that computes with it, so ``import evenfactor`` loads none of it
-and the first eigensolve pays for the import.
+dense matrix.  numpy is imported inside ``lambda1``, the library's only
+user of it, so ``import evenfactor`` loads none of it and the first
+eigensolve pays for the import.
 Threshold comparisons carry a guard band: values within it are reported as
 boundary cases instead of being silently classified, because the bipartite
 threshold claim is sharp at equality.
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ScaleError
-from .graph import Edge, Graph, build_graph, components_after_deletion
+from .graph import Edge, Graph, build_graph, components_after_deletion, \
+    _require_int
 from .search import find_ab_factor
 
 #: Half-width of the guard band used when comparing against sharp thresholds.
@@ -72,9 +73,17 @@ def lambda1(g: Graph) -> SpectralResult:
     return SpectralResult(best, 0, best_residual)
 
 
+def _require_ints(**values) -> None:
+    """Refuse any value that is not an integer, naming it (see
+    ``graph._require_int``)."""
+    for name, value in values.items():
+        _require_int(name, value)
+
+
 def bipartite_threshold(a: int, b: int, n: int) -> float:
     """Eigenvalue threshold for an [a,b]-factor in a complete bipartite graph:
     sqrt(a(n-a)) when n < a+b, else sqrt(ab)/(a+b) * n."""
+    _require_ints(a=a, b=b, n=n)
     if not (0 < a <= b):
         raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
     if n < 2:
@@ -92,6 +101,7 @@ def bipartite_threshold(a: int, b: int, n: int) -> float:
 def observation_decide(x: int, y: int, a: int, b: int) -> bool:
     """Closed-form decision: K_{x,y} (x <= y) has an [a,b]-factor iff
     x >= a and x >= a(x+y)/(a+b).  Exact arithmetic throughout."""
+    _require_ints(x=x, y=y, a=a, b=b)
     if x > y:
         raise ValueError(f"expected x <= y, got x={x}, y={y}")
     if not (0 < a <= b):
@@ -125,6 +135,7 @@ def rho(n: int, a: int) -> float:
     the cubic vanishes is that root: at n=2, a=1 the cubic is x^2(x+1), and
     its largest root is the double root 0 = c.
     """
+    _require_ints(n=n, a=a)
     if n < a + 1:
         raise ValueError(f"need n >= a+1, got n={n}, a={a}")
     if (a * n) % 2:
@@ -240,6 +251,7 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     n above ``SWEEP_RANDOM_CAP``.  Both modes run in one
     process.
     """
+    _require_ints(n=n, a=a, b=b)
     if not (1 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
     # Only jobs=1 is accepted.  The keyword stays because the benchmark's

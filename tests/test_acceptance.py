@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import evenfactor as ef
 from evenfactor import claims, spectral
+from criterion_oracle import enumerate_criterion
 from helpers import brute_force_even_factor
 
 
@@ -24,7 +25,7 @@ def _report(number: int, passed: bool, detail: str) -> bool:
 
 def test_criterion_1_oracle_equivalence_exhaustive():
     """All graphs on <= 6 vertices: pipeline == brute force, and the
-    deficiency criterion implies a factor."""
+    deficiency criterion, by exhaustive enumeration, implies a factor."""
     pairs6 = list(itertools.combinations(range(6), 2))
     bad = []
     holds_cases = 0
@@ -39,7 +40,7 @@ def test_criterion_1_oracle_equivalence_exhaustive():
                 continue
             if got is not None and not ef.verify_factor(g, got, a, b, True):
                 bad.append(("verify", mask, a, b))
-            holds, _ = ef.criterion_decide(g, a, b)
+            holds, _ = enumerate_criterion(g, a, b)
             if holds:
                 holds_cases += 1
                 if got is None:

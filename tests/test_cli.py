@@ -212,11 +212,22 @@ def test_criterion_command(tmp_path, capsys):
 
 
 def test_criterion_scale_error_exit(tmp_path, capsys):
-    path = tmp_path / "big.edges"
+    # example1(4, 12, 9) has 20 vertices and fails the criterion with value
+    # 2; a graph above the 10000-vertex cap is refused with exit 3
+    path = tmp_path / "h.edges"
     run(capsys, "construct", "example1", "--a", "4", "--b", "12", "--t", "9",
         "--out", str(path))
     code, out = run(capsys, "criterion", "--graph", str(path), "--a", "4",
                     "--b", "12")
+    assert code == 1
+    witness = last_json(out)["result"]["witness"]
+    assert witness["value"] == 2
+    g = ef.from_edge_list_text(path.read_text())
+    assert ef.even_factor_deficiency(g, 4, 12, witness["S"], witness["T"]) == 2
+    big = tmp_path / "big.edges"
+    big.write_text(ef.to_edge_list_text(ef.build_graph(10001, [])))
+    code, out = run(capsys, "criterion", "--graph", str(big), "--a", "2",
+                    "--b", "2")
     assert code == 3
     assert last_json(out)["kind"] == "scale"
 

@@ -1,5 +1,5 @@
-"""Fresh interpreters: numpy stays unloaded until the first eigensolve or
-criterion block, and the first such call answers as a warm one does.
+"""Fresh interpreters: numpy stays unloaded until the first eigensolve, and
+the first such call answers as a warm one does.
 
 The pytest process cannot check this itself, since pytest and the other test
 modules import numpy before any library code runs.
@@ -54,6 +54,8 @@ def test_import_and_combinatorial_commands_never_load_numpy(tmp_path, c5_path,
          "--theorem"],
         ["verify", "--graph", str(k5), "--factor", str(factor), "--a", "4",
          "--b", "4", "--even"],
+        ["criterion", "--graph", str(k5), "--a", "2", "--b", "4"],
+        ["criterion", "--graph", str(c5_path), "--a", "4", "--b", "4"],
     ]
     code = "\n".join([
         "import contextlib, io, json, sys",

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evenfactor as ef
+import criterion_oracle as oracle
 from evenfactor import criteria
-from evenfactor.criteria import DEFICIENCY_VERTEX_CAP, EXHAUSTIVE_VERTEX_CAP
+from evenfactor.criteria import DEFICIENCY_VERTEX_CAP
+from criterion_oracle import EXHAUSTIVE_VERTEX_CAP, enumerate_criterion
 from helpers import brute_max_deficiency, lovasz_deficiency, random_graph
 
 STAR = ef.complete_bipartite(1, 3)
@@ -243,6 +245,20 @@ def test_parity_random_sample():
 
 
 # ---------------------------------------------------------- criterion_decide
+#
+# The library decides the criterion on the matching gadget; the exhaustive
+# enumeration in criterion_oracle is the oracle it is checked against, and
+# the tie-break, block and memory tests below exercise that oracle itself.
+
+def _assert_checked_witness(g, a, b, holds, witness):
+    """A failing criterion carries a positive witness that re-evaluates to
+    its own value."""
+    if holds:
+        assert witness is None
+    else:
+        assert witness.value > 0 and not set(witness.S) & set(witness.T)
+        assert ef.even_factor_deficiency(g, a, b, witness.S, witness.T) == witness.value
+
 
 def test_criterion_k5_holds():
     assert ef.criterion_decide(K5, 4, 4) == (True, None)
@@ -253,11 +269,13 @@ def test_criterion_c6_holds():
 
 
 def test_criterion_star_fails_with_maximizing_witness():
-    holds, witness = ef.criterion_decide(STAR, 2, 2)
-    assert not holds
-    # independent maximizer: T = all three leaves reaches value 4
+    # independent maximizer: T = all three leaves reaches value 4, and so
+    # does the library's S = {center}, T = the leaves
     value, s, t = brute_max_deficiency(STAR, 2, 2)
-    assert (witness.value, witness.S, witness.T) == (value, s, t) == (4, (), (1, 2, 3))
+    assert (value, s, t) == (4, (), (1, 2, 3))
+    holds, witness = enumerate_criterion(STAR, 2, 2)
+    assert not holds and (witness.value, witness.S, witness.T) == (value, s, t)
+    assert ef.criterion_decide(STAR, 2, 2) == (False, ef.CriterionWitness((0,), (1, 2, 3), 4))
 
 
 def test_criterion_witness_matches_brute_force_with_tie_break():
@@ -265,11 +283,15 @@ def test_criterion_witness_matches_brute_force_with_tie_break():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6), rng.choice([0.2, 0.5, 0.8]))
         for a, b in [(2, 2), (2, 4), (4, 4)]:
-            holds, witness = ef.criterion_decide(g, a, b)
+            holds, witness = enumerate_criterion(g, a, b)
             value, s, t = brute_max_deficiency(g, a, b)
             assert holds == (value <= 0)
             if not holds:
                 assert (witness.value, witness.S, witness.T) == (value, s, t)
+            holds, witness = ef.criterion_decide(g, a, b)
+            assert holds == (value <= 0)
+            _assert_checked_witness(g, a, b, holds, witness)
+            assert holds or witness.value == value
 
 
 def test_criterion_witness_matches_brute_force_at_seven_and_eight_vertices():
@@ -291,7 +313,7 @@ def test_criterion_witness_matches_brute_force_at_seven_and_eight_vertices():
     ]
     for g in graphs:
         for a, b in [(2, 2), (2, 4), (4, 6)]:
-            holds, witness = ef.criterion_decide(g, a, b)
+            holds, witness = enumerate_criterion(g, a, b)
             value, s, t = brute_max_deficiency(g, a, b)
             assert holds == (value <= 0)
             if holds:
@@ -301,14 +323,16 @@ def test_criterion_witness_matches_brute_force_at_seven_and_eight_vertices():
 
 
 def test_criterion_sufficiency_on_random_graphs():
-    # criterion holds => the construction pipeline finds an even factor
+    # criterion holds => the construction pipeline finds an even factor; the
+    # criterion comes from the enumeration, since the library's answers
+    # through the same gadget as find_even_factor
     rng = random.Random(8)
     holds_count = 0
     for _ in range(10_000):
         n = rng.choice([7, 8])
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
         for a, b in [(2, 2), (2, 4), (4, 4)]:
-            holds, _ = ef.criterion_decide(g, a, b)
+            holds, _ = enumerate_criterion(g, a, b)
             if holds:
                 holds_count += 1
                 assert ef.find_even_factor(g, a, b) is not None
@@ -319,9 +343,10 @@ def test_gadget_exposed_nodes_equal_the_maximum_deficiency():
     # Tutte's f-factor theorem in deficiency form: a maximum matching of the
     # even gadget leaves exposed exactly max over (S, T) of the deficiency,
     # which is 0 when the criterion holds.  Unbalanced bipartite graphs
-    # supply most of the deficient cases.
+    # supply most of the deficient cases; draws with a vertex below a give
+    # the gadget deficit nodes.
     rng = random.Random(7)
-    checked = deficient = 0
+    checked = deficient = below_a = 0
     while checked < 300:
         if rng.random() < 0.5:
             x = rng.randint(2, 4)
@@ -331,15 +356,62 @@ def test_gadget_exposed_nodes_equal_the_maximum_deficiency():
         else:
             g = random_graph(rng, rng.randint(5, 10), rng.choice([0.3, 0.6, 0.9]))
         a, b = rng.choice([(2, 2), (2, 4), (4, 4), (4, 6), (2, 6)])
-        if min(g.degrees) < a:
-            continue
         checked += 1
+        below_a += min(g.degrees) < a
         inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
         exposed = inst.n_nodes - 2 * len(ef.max_matching(inst))
-        holds, witness = ef.criterion_decide(g, a, b)
+        holds, witness = enumerate_criterion(g, a, b)
         assert exposed == (0 if holds else witness.value), (sorted(g.edges), a, b)
         deficient += not holds
     assert deficient >= 30
+    assert below_a >= 30
+
+
+def test_criterion_agrees_with_the_enumeration_on_random_graphs():
+    # The gadget engine against the exhaustive oracle: the same verdict and
+    # the same maximum, with a witness that re-evaluates to it.  Sparse
+    # draws and large a put vertices below a, where the gadget has deficit
+    # nodes.
+    rng = random.Random(26)
+    checked = deficient = below_a = 0
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(0, 12), rng.choice([0.15, 0.3, 0.5, 0.8]))
+        a, b = rng.choice([(2, 2), (2, 4), (4, 4), (4, 6), (2, 6), (6, 6)])
+        holds, witness = ef.criterion_decide(g, a, b)
+        expected, best = enumerate_criterion(g, a, b)
+        assert holds == expected, (sorted(g.edges), a, b)
+        _assert_checked_witness(g, a, b, holds, witness)
+        if not holds:
+            assert witness.value == best.value, (sorted(g.edges), a, b)
+        checked += 1
+        deficient += not holds
+        below_a += g.n > 0 and min(g.degrees) < a
+    assert checked == 600 and deficient >= 200 and below_a >= 100
+    assert checked - deficient >= 100
+
+
+@pytest.mark.parametrize("g, a, b", [
+    (ef.example1(4, 12, 9), 4, 12),
+    (ef.example2(4, 24, 6), 4, 24),
+    (ef.example2(4, 24, 8), 4, 24),
+], ids=["example1_4_12_9", "example2_4_24_6", "example2_4_24_8"])
+def test_criterion_witnesses_on_the_paper_families(g, a, b):
+    # 20, 33 and 35 vertices: beyond the enumeration, and each the paper's
+    # graph with no even [a,b]-factor
+    holds, witness = ef.criterion_decide(g, a, b)
+    assert not holds and witness.value == 2
+    _assert_checked_witness(g, a, b, holds, witness)
+
+
+def test_criterion_refuses_above_the_cap_before_any_gadget(monkeypatch):
+    def no_gadget(*args):
+        raise AssertionError("gadget built above the cap")
+
+    monkeypatch.setattr(criteria, "tutte_gadget", no_gadget)
+    over = ef.path_graph(DEFICIENCY_VERTEX_CAP + 1)
+    with pytest.raises(ef.ScaleError, match=f"n <= {DEFICIENCY_VERTEX_CAP}"):
+        ef.criterion_decide(over, 2, 2)
+    assert "adjacency" not in vars(over)
 
 
 def test_split_keys_order_like_tuple_keys():
@@ -353,7 +425,7 @@ def test_split_keys_order_like_tuple_keys():
             splits.append((len(s), len(t), s, t))
         s_masks = np.array([sum(1 << v for v in s) for _, _, s, _ in splits], dtype=np.int32)
         t_masks = np.array([sum(1 << v for v in t) for _, _, _, t in splits], dtype=np.int32)
-        keys = criteria._split_keys(n, s_masks, t_masks).tolist()
+        keys = oracle._split_keys(n, s_masks, t_masks).tolist()
         assert len(set(keys)) == len(keys) == 3 ** n
         assert sorted(range(len(keys)), key=keys.__getitem__) == \
             sorted(range(len(splits)), key=splits.__getitem__)
@@ -381,11 +453,11 @@ def test_criterion_answer_does_not_depend_on_block_cuts(monkeypatch, block_bits,
     # in a later block, so the re-check before that block must keep a row
     # whose bound equals the best value found earlier in the chunk.
     cases.append((ef.build_graph(6, [(0, 1), (0, 2), (0, 5), (3, 5), (4, 5)]), 2, 4))
-    expected = [ef.criterion_decide(g, a, b) for g, a, b in cases]
-    monkeypatch.setattr(criteria, "_BLOCK_BITS", block_bits)
-    monkeypatch.setattr(criteria, "_BLOCK", 1 << block_bits)
-    monkeypatch.setattr(criteria, "_PAD", pad)
-    assert [ef.criterion_decide(g, a, b) for g, a, b in cases] == expected
+    expected = [enumerate_criterion(g, a, b) for g, a, b in cases]
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(oracle, "_BLOCK", 1 << block_bits)
+    monkeypatch.setattr(oracle, "_PAD", pad)
+    assert [enumerate_criterion(g, a, b) for g, a, b in cases] == expected
     assert expected[-3][1].T == (0, 1, 4)
     assert expected[-1] == (False, ef.CriterionWitness((), (0, 3, 4), 4))
     assert sum(not holds for holds, _ in expected) >= 10
@@ -402,28 +474,28 @@ def test_row_blocks_cut_rows_into_full_spans():
         return padded(sizes, r0, r1) - sum(1 << k for k in sizes[r0:r1])
 
     rng = random.Random(4)
-    lists = [criteria._subset_tables(n).sizes.tolist() for n in (0, 1, 6, 9, 16)]
+    lists = [oracle._subset_tables(n).sizes.tolist() for n in (0, 1, 6, 9, 16)]
     for _ in range(300):
         n = rng.randint(0, EXHAUSTIVE_VERTEX_CAP)
         lists.append(sorted(rng.choice([rng.randint(0, n), rng.randint(n // 2, n)])
                             for _ in range(rng.randint(0, 400))))
     for sizes in lists:
-        spans = criteria._row_blocks(sizes)
+        spans = oracle._row_blocks(sizes)
         assert [r for r0, r1 in spans for r in range(r0, r1)] == list(range(len(sizes)))
         assert all(r0 < r1 for r0, r1 in spans)
         for r0, r1 in spans:
-            lone = r1 - r0 == 1 and sizes[r0] > criteria._BLOCK_BITS
-            assert lone or padded(sizes, r0, r1) <= criteria._BLOCK
-            assert padding(sizes, r0, r1) <= criteria._PAD
+            lone = r1 - r0 == 1 and sizes[r0] > oracle._BLOCK_BITS
+            assert lone or padded(sizes, r0, r1) <= oracle._BLOCK
+            assert padding(sizes, r0, r1) <= oracle._PAD
         for (r0, r1), _ in zip(spans, spans[1:]):
-            assert (padded(sizes, r0, r1 + 1) > criteria._BLOCK
-                    or padding(sizes, r0, r1 + 1) > criteria._PAD)
+            assert (padded(sizes, r0, r1 + 1) > oracle._BLOCK
+                    or padding(sizes, r0, r1 + 1) > oracle._PAD)
 
 
 def test_criterion_pins_at_thirteen_and_fourteen_vertices():
-    # Every (holds, witness) below was recorded with the earlier
-    # criterion_decide that walked the splits of each W one at a time in
-    # Gray-code order.
+    # Every (holds, witness) below was recorded with an earlier enumeration
+    # that walked the splits of each W one at a time in Gray-code order; the
+    # library must reach the same maximum.
     cases = [
         (ef.cycle_graph(13), 2, 2, None),
         (ef.cycle_graph(14), 2, 2, None),
@@ -433,21 +505,25 @@ def test_criterion_pins_at_thirteen_and_fourteen_vertices():
          ((), (1, 3, 4, 5, 6, 7, 9), 14)),
     ]
     for g, a, b, expected in cases:
-        holds, witness = ef.criterion_decide(g, a, b)
+        holds, witness = enumerate_criterion(g, a, b)
         assert holds == (expected is None)
         if expected is None:
             assert witness is None
         else:
             assert (witness.S, witness.T, witness.value) == expected
+        holds, witness = ef.criterion_decide(g, a, b)
+        assert holds == (expected is None)
+        _assert_checked_witness(g, a, b, holds, witness)
+        assert holds or witness.value == expected[2]
 
 
 def test_criterion_memory_stays_small_at_fourteen_vertices():
     # 3^14 splits would take 19 MB as int32; the blocks keep the peak near
     # the O(2^n n) tables, which the cleared cache counts in.
-    criteria._subset_tables.cache_clear()
+    oracle._subset_tables.cache_clear()
     tracemalloc.start()
     try:
-        assert ef.criterion_decide(ef.cycle_graph(14), 2, 2) == (True, None)
+        assert enumerate_criterion(ef.cycle_graph(14), 2, 2) == (True, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -455,17 +531,17 @@ def test_criterion_memory_stays_small_at_fourteen_vertices():
 
 
 def test_criterion_scale_cap():
-    # one vertex over the cap: 3^19 splits, so only a refusal made before the
-    # enumeration returns at once
+    # one vertex over the enumeration's cap: 3^19 splits, so only a refusal
+    # made before the enumeration returns at once
     with pytest.raises(ef.ScaleError, match=f"n <= {EXHAUSTIVE_VERTEX_CAP}"):
-        ef.criterion_decide(ef.cycle_graph(EXHAUSTIVE_VERTEX_CAP + 1), 2, 2)
+        enumerate_criterion(ef.cycle_graph(EXHAUSTIVE_VERTEX_CAP + 1), 2, 2)
     with pytest.raises(ef.ScaleError):
-        ef.criterion_decide(ef.example1(4, 12, 9), 4, 12)  # n=20 > 18
+        enumerate_criterion(ef.example1(4, 12, 9), 4, 12)  # n=20 > 18
 
 
 def test_witness_json_shape():
     _, witness = ef.criterion_decide(STAR, 2, 2)
-    assert ef.to_json(witness) == {"S": [], "T": [1, 2, 3], "value": 4}
+    assert ef.to_json(witness) == {"S": [0], "T": [1, 2, 3], "value": 4}
 
 
 # ------------------------------------------------------- condition checkers

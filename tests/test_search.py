@@ -60,21 +60,24 @@ def test_brute_force_scale_cap():
 
 
 def test_oracles_stay_outside_the_library():
-    # The oracles live in tests/helpers.py and import no private name from
-    # the library, so they share no code path with what they check.
+    # The oracles live in tests/helpers.py and tests/criterion_oracle.py and
+    # import no private name from the library, so they share no code path
+    # with what they check.
     for name in ("brute_force_even_factor", "lovasz_deficiency",
-                 "maximum_cardinality_matching", "EXHAUSTIVE_EDGE_CAP"):
+                 "maximum_cardinality_matching", "EXHAUSTIVE_EDGE_CAP",
+                 "enumerate_criterion", "EXHAUSTIVE_VERTEX_CAP"):
         assert not hasattr(ef, name), name
-    tree = ast.parse(Path(__file__).with_name("helpers.py").read_text())
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module.startswith("evenfactor"):
-            imported += node.module.split(".") + [a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            imported += [part for a in node.names if a.name.startswith("evenfactor")
-                         for part in a.name.split(".")]
-    assert "evenfactor" in imported
-    assert not [name for name in imported if name.startswith("_")]
+    for module in ("helpers.py", "criterion_oracle.py"):
+        tree = ast.parse(Path(__file__).with_name(module).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("evenfactor"):
+                imported += node.module.split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [part for a in node.names if a.name.startswith("evenfactor")
+                             for part in a.name.split(".")]
+        assert "evenfactor" in imported, module
+        assert not [name for name in imported if name.startswith("_")], module
 
 
 # ------------------------------------------------------------- loop_augment
@@ -196,10 +199,22 @@ def test_parity_free_gadget_rejects_loops():
 
 
 def test_gadget_names_deficient_vertex():
-    with pytest.raises(ValueError, match="vertex 1"):
-        ef.tutte_gadget((STAR, 0), 2)
-    with pytest.raises(ValueError, match="vertex 1"):
-        ef.tutte_gadget((STAR, 0), 3, 2)
+    # The leaves of the star have degree 1 < 2: each keeps its port for its
+    # edge and gets one deficit node, listed in no block, which no matching
+    # covers.  The centre gets one hard core at [2,2] and one soft single
+    # at [2,3].
+    for inst in (ef.tutte_gadget((STAR, 0), 2), ef.tutte_gadget((STAR, 0), 3, 2)):
+        blocks = set(itertools.chain.from_iterable(
+            (*inst.ports[v], *inst.cores[v], *inst.singles[v],
+             *itertools.chain.from_iterable(inst.pairs[v])) for v in range(STAR.n)))
+        deficit = set(range(inst.n_nodes)) - blocks
+        assert len(deficit) == 3
+        assert [len(c) for c in inst.cores[1:]] == [0, 0, 0]
+        assert not any(inst.singles[1:]) and not any(inst.pairs)
+        assert not deficit & {x for e in inst.edges for x in e}
+        matching = ef.max_matching(inst)
+        assert not deficit & {x for e in matching for x in e}
+        assert not ef.is_perfect(inst, matching)
 
 
 def test_gadget_node_count_even_for_even_targets():
@@ -646,7 +661,7 @@ def test_find_even_factor_on_k60_stays_small():
 
 def _blossom_on_gadget(inst, mate):
     return search._blossom_matching(inst.n_nodes, *search._gadget_lists(inst),
-                                    mate, ())
+                                    mate, ())[0]
 
 
 def test_matching_init_on_an_implicit_gadget_must_use_gadget_edges():

@@ -108,6 +108,29 @@ def test_observation_decide_examples():
         ef.observation_decide(4, 2, 2, 2)
 
 
+def test_spectral_bounds_refuse_non_integers_by_name(monkeypatch):
+    # Each refusal comes before any work: no sweep builds a graph.
+    def no_graph(*args):
+        raise AssertionError("sweep built a graph")
+
+    monkeypatch.setattr(spectral, "graph_from_mask", no_graph)
+    cases = [
+        (lambda: ef.rho(5, 2.0), "a must be an integer, got 2.0"),
+        (lambda: ef.rho(5.5, 2), "n must be an integer, got 5.5"),
+        (lambda: ef.bipartite_threshold(1.5, 2, 4), "a must be an integer, got 1.5"),
+        (lambda: ef.bipartite_threshold(2, 4, 6.0), "n must be an integer, got 6.0"),
+        (lambda: ef.observation_decide(1.5, 2, 1, 2), "x must be an integer, got 1.5"),
+        (lambda: ef.observation_decide(2, 3, 1, 2.5), "b must be an integer, got 2.5"),
+        (lambda: ef.conjecture_sweep(5, 2.0, 2), "a must be an integer, got 2.0"),
+        (lambda: ef.conjecture_sweep(5, 2, "4", source="random", seed=1, count=5),
+         "b must be an integer, got '4'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_observation_equivalence_on_effective_domain():
     # all three decision routes agree wherever n >= 2a (below that no split
     # can reach minimum degree a, and the closed form says so)
