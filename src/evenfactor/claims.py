@@ -126,9 +126,8 @@ def _connectivity_gap(kind: str, connectivity, family, a: int, b: int, t: int,
         "conditions_hold": conds.overall,
         "factor_present": factor is not None,
     }
+    # conds.overall holds the order and degree-sum bounds among the rest.
     passed = (kappa == a - 1 and min_degree == delta and sig == s2
-              and g.n >= order_threshold(a, b)
-              and sig >= Fraction(2 * a * g.n, a + b)
               and conds.overall and factor is None)
     return ClaimRow(
         f"{kind}-connectivity-gap",

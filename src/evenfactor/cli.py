@@ -172,23 +172,16 @@ def _cmd_spectral(ns) -> int:
 
 
 def _cmd_sweep(ns) -> int:
+    mode = "random" if ns.random else "exhaustive"
+    records = conjecture_sweep(ns.n, ns.a, ns.b, source=mode, seed=ns.seed,
+                               count=ns.count)
+    params = {"n": ns.n, "a": ns.a, "b": ns.b, "mode": mode}
     if ns.random:
-        if ns.seed is None or ns.count is None:
-            raise ValueError("--random requires --seed and --count")
-        records = conjecture_sweep(ns.n, ns.a, ns.b, source="random",
-                                   seed=ns.seed, count=ns.count)
-        source = {"mode": "random", "seed": ns.seed, "count": ns.count}
-    else:
-        if ns.seed is not None or ns.count is not None:
-            raise ValueError("--exhaustive takes no --seed or --count")
-        records = conjecture_sweep(ns.n, ns.a, ns.b, source="exhaustive")
-        source = {"mode": "exhaustive"}
+        params |= {"seed": ns.seed, "count": ns.count}
     for rec in records:
         _emit(to_json(rec), compact=True)
     summary = sweep_summary(records)
-    _emit(_envelope("sweep",
-                    {"n": ns.n, "a": ns.a, "b": ns.b} | source,
-                    {"summary": summary}), compact=True)
+    _emit(_envelope("sweep", params, {"summary": summary}), compact=True)
     return EXIT_NEGATIVE if summary["absent"] else EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """Deterministic generators for the named extremal graph families.
 
 Every generator freezes its vertex id layout so tests can address the special
-vertices without search, and validation reports all violated parameter
-constraints, not just the first.
+vertices without search.  A non-integer parameter raises ValueError naming
+it; otherwise validation reports all violated parameter constraints, not
+just the first.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graph import Graph, build_graph
+from .graph import Graph, _require_ints, build_graph
 
 
 def _reject(problems: list[str], family: str) -> None:
@@ -19,16 +20,19 @@ def _reject(problems: list[str], family: str) -> None:
 
 
 def complete_graph(n: int) -> Graph:
+    _require_ints(n=n)
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def cycle_graph(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path_graph(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 1:
         raise ValueError(f"path needs at least 1 vertex, got {n}")
     return build_graph(n, [(v, v + 1) for v in range(n - 1)])
@@ -36,6 +40,7 @@ def path_graph(n: int) -> Graph:
 
 def complete_bipartite(x: int, y: int) -> Graph:
     """K_{x,y} with parts {0..x-1} and {x..x+y-1}."""
+    _require_ints(x=x, y=y)
     problems = []
     if x < 1:
         problems.append(f"first part size must be >= 1, got {x}")
@@ -55,6 +60,7 @@ def example1(a: int, b: int, t: int) -> Graph:
     Constraints: a, b even with 12 <= 3a <= b, and
     t >= ((a+b)^2 - 3a - 4b) / (2b).
     """
+    _require_ints(a=a, b=b, t=t)
     problems = []
     if a % 2 or b % 2:
         problems.append(f"a and b must be even, got a={a}, b={b}")
@@ -99,6 +105,7 @@ def example2(a: int, b: int, t: int) -> Graph:
     clique drops the minimum degree below a+1); and t must lie in
     [-a^2-a+b+(a^2-3a)/b-1, -a^2-2a+b+b/a+2].
     """
+    _require_ints(a=a, b=b, t=t)
     problems = []
     if a % 2 or b % 2:
         problems.append(f"a and b must be even, got a={a}, b={b}")
@@ -150,6 +157,7 @@ def h_na(n: int, a: int) -> Graph:
     1..n-1 form a complete graph.  Degree multiset: one vertex of degree a-1,
     a-1 vertices of degree n-1, n-a vertices of degree n-2.
     """
+    _require_ints(n=n, a=a)
     problems = []
     if a < 1:
         problems.append(f"need a >= 1, got a={a}")

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from .errors import ScaleError
 from .graph import Graph, INFINITY, sigma2, \
     vertex_connectivity, edge_connectivity, degree_profile, _as_vertex_set, \
-    _require_even_pair
+    _require_even_pair, _require_ints
 from .search import _gadget_matching, loop_augment, tutte_gadget
 
 #: Cap for one (S, T) evaluation on adjacency bitmasks, which hold about n^2/2
@@ -202,6 +202,7 @@ def criterion_decide(g: Graph, a: int, b: int
 
 def order_threshold(a: int, b: int) -> Fraction:
     """The vertex-count threshold 2a + b + (a^2 - 3a)/b - 2."""
+    _require_ints(a=a, b=b)
     return 2 * a + b + Fraction(a * a - 3 * a, b) - 2
 
 

@@ -105,11 +105,17 @@ def _require_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _require_ints(**values) -> None:
+    """Refuse any value that is not an integer, naming it (see
+    ``_require_int``)."""
+    for name, value in values.items():
+        _require_int(name, value)
+
+
 def _require_even_pair(a: int, b: int) -> None:
     """Refuse bounds that are not integers, not both even, or not 2 <= a <= b,
     naming them."""
-    _require_int("a", a)
-    _require_int("b", b)
+    _require_ints(a=a, b=b)
     problems = []
     if a % 2 or b % 2:
         problems.append(f"a and b must both be even, got a={a}, b={b}")

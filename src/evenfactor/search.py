@@ -36,7 +36,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, _require_even_pair, _require_int
+from .graph import Edge, Graph, _require_even_pair, _require_int, _require_ints
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,9 @@ class MatchingInstance:
 def verify_factor(g: Graph, factor: Factor, a: int, b: int,
                   require_even: bool) -> bool:
     """True iff every vertex degree of the factor lies in [a, b] (and is even
-    when requested).  Edges outside the host graph raise ValueError."""
+    when requested).  Edges outside the host graph, and bounds that are not
+    integers, raise ValueError."""
+    _require_ints(a=a, b=b)
     foreign = factor.edges - g.edges
     if foreign:
         raise ValueError(f"factor contains non-host edges {sorted(foreign)}")
@@ -577,8 +579,7 @@ def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
     with prescribed valencies"; Anstee 1985).  Any returned factor is
     re-verified.  Vertices of degree below a make the answer absent at once.
     """
-    _require_int("a", a)
-    _require_int("b", b)
+    _require_ints(a=a, b=b)
     if not (0 <= a <= b):
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     if any(d < a for d in g.degrees):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import ScaleError
 from .graph import Edge, Graph, build_graph, components_after_deletion, \
-    _require_int
+    _require_ints
 from .search import find_ab_factor
 
 #: Half-width of the guard band used when comparing against sharp thresholds.
@@ -71,13 +71,6 @@ def lambda1(g: Graph) -> SpectralResult:
             best = lam
             best_residual = float(np.max(np.abs(mat @ vec - lam * vec)))
     return SpectralResult(best, 0, best_residual)
-
-
-def _require_ints(**values) -> None:
-    """Refuse any value that is not an integer, naming it (see
-    ``graph._require_int``)."""
-    for name, value in values.items():
-        _require_int(name, value)
 
 
 def bipartite_threshold(a: int, b: int, n: int) -> float:
@@ -160,16 +153,12 @@ class SweepRecord:
     n: int
     a: int
     b: int
-    mask: int | None
+    mask: int
     edges: tuple[Edge, ...]
     lambda1: float
     rho: float
     classification: str  # "candidate" | "boundary"
     verdict: str | None  # "present" | "absent" | None
-
-
-def _vertex_pairs(n: int) -> list[Edge]:
-    return list(itertools.combinations(range(n), 2))
 
 
 def graph_from_mask(n: int, mask: int, pairs: list[Edge]) -> Graph:
@@ -204,21 +193,6 @@ def _degrees_non_increasing(mask: int, inc: list[int]) -> bool:
     return True
 
 
-def _examine(g: Graph, mask: int | None, a: int, b: int,
-             rho_value: float) -> SweepRecord | None:
-    lam = lambda1(g).lambda1
-    cls = classify_threshold(lam, rho_value)
-    if cls == "below":
-        return None
-    if cls == "boundary":
-        verdict = None
-    else:
-        verdict = "present" if find_ab_factor(g, a, b) is not None else "absent"
-    return SweepRecord(g.n, a, b, mask, tuple(g.sorted_edges()), lam,
-                       rho_value, "candidate" if cls == "above" else "boundary",
-                       verdict)
-
-
 def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
                      seed: int | None = None, count: int | None = None,
                      jobs: int = 1) -> list[SweepRecord]:
@@ -229,33 +203,32 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     Graphs within the guard band of rho are recorded as boundary, never
     classified.
 
-    Exhaustive mode examines the upper-triangular edge bitmasks that can
-    reach rho, and decides each on the integer before building a graph:
+    Graphs are upper-triangular edge bitmasks over the vertex pairs, and the
+    source picks them:
 
-    1. Edge count.  By Stanley's bound, a graph with m edges has
-       lambda1 <= (-1 + sqrt(1 + 8m)) / 2, so a graph with fewer than
-       ``_min_edges(rho)`` edges would be classified 'below'.  Only masks
-       with at most C(n,2) - ``_min_edges(rho)`` missing pairs are walked,
-       by choosing those pairs: at n = 8 and a = 2, 499178 of the 2^28
-       masks.
-    2. Degree order.  Vertex v's degree is the popcount of the mask and the
-       bits of the pairs at v; a mask whose degrees increase somewhere is
-       skipped, and every isomorphism class keeps its representatives with
-       non-increasing degrees.
+    - ``"exhaustive"`` (n <= ``SWEEP_EXHAUSTIVE_CAP``, no seed or count)
+      walks the masks that can reach rho, in increasing order.  By Stanley's
+      bound, a graph with m edges has lambda1 <= (-1 + sqrt(1 + 8m)) / 2, so
+      a graph with fewer than ``_min_edges(rho)`` edges would be classified
+      'below'; only masks with at most C(n,2) - ``_min_edges(rho)`` missing
+      pairs are chosen, at n = 8 and a = 2 499178 of the 2^28 masks.  Of
+      those, a mask whose degrees (popcounts of the mask and the bits of the
+      pairs at each vertex) increase somewhere is skipped: every isomorphism
+      class keeps its representatives with non-increasing degrees.  So the
+      records equal those of building every degree-sorted graph.
+    - ``"random"`` (n <= ``SWEEP_RANDOM_CAP``, explicit seed and
+      nonnegative count) draws ``count`` uniform masks from
+      ``random.Random(seed).getrandbits``, one at a time, in draw order.
 
-    Only the masks that pass both are built, eigensolved and, above rho,
-    given a verdict, so the records equal those of building every
-    degree-sorted graph.  They are returned in increasing mask order.
-    Exhaustive mode refuses ``seed`` and ``count``.  Random mode needs an
-    explicit seed and count, skips masks by the same edge count, and refuses
-    n above ``SWEEP_RANDOM_CAP``.  Both modes run in one
+    Every mask with at least ``_min_edges(rho)`` edges is built, eigensolved
+    and, above rho, given a verdict.  Every parameter is checked before any
+    graph is built; only ``jobs=1`` is accepted, since sweeps run in one
     process.
     """
     _require_ints(n=n, a=a, b=b)
     if not (1 <= a <= b):
         raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
-    # Only jobs=1 is accepted.  The keyword stays because the benchmark's
-    # sweep workload passes jobs=1.
+    # The keyword stays because the benchmark's sweep workload passes jobs=1.
     if jobs != 1:
         raise ValueError(f"sweeps run serially; jobs must be 1, got {jobs}")
     rho_value = rho(n, a)
@@ -266,45 +239,52 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
             raise ValueError(
                 f"exhaustive sweep takes no {' or '.join(given)}; got "
                 + ", ".join(f"{name}={value}" for name, value in given.items()))
-        if n > SWEEP_EXHAUSTIVE_CAP:
-            raise ScaleError(
-                f"exhaustive sweep supports n <= {SWEEP_EXHAUSTIVE_CAP}, got n={n}")
-        pairs = _vertex_pairs(n)
+        cap = SWEEP_EXHAUSTIVE_CAP
+    elif source == "random":
+        if seed is None or count is None:
+            raise ValueError("random sweep requires explicit seed and count")
+        _require_ints(count=count)
+        if count < 0:
+            raise ValueError(f"random sweep count must be nonnegative, got {count}")
+        cap = SWEEP_RANDOM_CAP
+    else:
+        raise ValueError(f"unknown sweep source {source!r}")
+    if n > cap:
+        raise ScaleError(f"{source} sweep supports n <= {cap}, got n={n}")
+
+    pairs = list(itertools.combinations(range(n), 2))
+    min_edges = _min_edges(rho_value)
+    if source == "exhaustive":
         inc = [sum(1 << i for i, e in enumerate(pairs) if v in e) for v in range(n)]
         bits = [1 << i for i in range(len(pairs))]
         full = (1 << len(pairs)) - 1
-        records = []
-        for missing in range(len(pairs) - _min_edges(rho_value) + 1):
+        masks = []
+        for missing in range(len(pairs) - min_edges + 1):
             for removed in itertools.combinations(bits, missing):
                 mask = full ^ sum(removed)
-                if not _degrees_non_increasing(mask, inc):
-                    continue
-                rec = _examine(graph_from_mask(n, mask, pairs), mask, a, b, rho_value)
-                if rec is not None:
-                    records.append(rec)
-        records.sort(key=lambda rec: rec.mask)
-        return records
-    if source == "random":
-        if seed is None or count is None:
-            raise ValueError("random sweep requires explicit seed and count")
-        if count < 0:
-            raise ValueError(f"random sweep count must be nonnegative, got {count}")
-        if n > SWEEP_RANDOM_CAP:
-            raise ScaleError(
-                f"random sweep supports n <= {SWEEP_RANDOM_CAP}, got n={n}")
+                if _degrees_non_increasing(mask, inc):
+                    masks.append(mask)
+        masks.sort()
+    else:
         rng = random.Random(seed)
-        pairs = _vertex_pairs(n)
-        min_edges = _min_edges(rho_value)
-        records = []
-        for _ in range(count):
-            mask = rng.getrandbits(len(pairs))
-            if mask.bit_count() < min_edges:
-                continue
-            rec = _examine(graph_from_mask(n, mask, pairs), mask, a, b, rho_value)
-            if rec is not None:
-                records.append(rec)
-        return records
-    raise ValueError(f"unknown sweep source {source!r}")
+        masks = (rng.getrandbits(len(pairs)) for _ in range(count))
+
+    records = []
+    for mask in masks:
+        if mask.bit_count() < min_edges:
+            continue
+        g = graph_from_mask(n, mask, pairs)
+        lam = lambda1(g).lambda1
+        cls = classify_threshold(lam, rho_value)
+        if cls == "below":
+            continue
+        verdict = None
+        if cls == "above":
+            verdict = "present" if find_ab_factor(g, a, b) is not None else "absent"
+        records.append(SweepRecord(
+            n, a, b, mask, tuple(g.sorted_edges()), lam, rho_value,
+            "candidate" if cls == "above" else "boundary", verdict))
+    return records
 
 
 def sweep_summary(records: list[SweepRecord]) -> dict:

@@ -143,9 +143,12 @@ def explicit_gadget(looped: tuple[ef.Graph, int], b: int,
 
     The same gadget as ``ef.tutte_gadget`` with every join written out as an
     edge tuple: real edge i is (2i, 2i+1), then per vertex its hard cores,
-    soft singles and soft pairs, each joined to every port of the vertex.
-    Returns ``n_nodes``, ``edges``, ``decode``, ``ports``, ``cores`` and
-    ``singles`` with the library's numbering and order.
+    soft singles and soft pairs, each joined to every port of the vertex.  A
+    vertex below its least degree (b - 2k, or a when given) keeps all its
+    ports for real edges and gets one deficit node per missing degree, after
+    its other nodes: a node with no edges, listed in no block.  Returns
+    ``n_nodes``, ``edges``, ``decode``, ``ports``, ``cores`` and ``singles``
+    with the library's numbering and order.
     """
     g, k = looped
     ports = [[] for _ in range(g.n)]
@@ -160,11 +163,14 @@ def explicit_gadget(looped: tuple[ef.Graph, int], b: int,
         edges.append((counter, counter + 1))
         decode[(counter, counter + 1)] = ("edge", (u, v))
         counter += 2
+    least = b - 2 * k if a is None else a
     for v in range(g.n):
         d = len(ports[v])
         top = min(b, d)
         if a is None:
             top -= (b - top) % 2
+        if d < least:
+            top = d
         for _ in range(d - top):
             cores[v].append(counter)
             edges.extend((p, counter) for p in ports[v])
@@ -179,6 +185,7 @@ def explicit_gadget(looped: tuple[ef.Graph, int], b: int,
             decode[pair] = ("unused_loop", v)
             edges.extend((p, s) for s in pair for p in ports[v])
             counter += 2
+        counter += max(0, least - d)  # deficit nodes: no edges, in no block
     return SimpleNamespace(
         n_nodes=counter, edges=tuple(edges), decode=decode,
         ports=tuple(tuple(p) for p in ports),

@@ -289,6 +289,8 @@ def test_sweep_random_without_seed_is_usage_error(capsys):
     code, out = run(capsys, "sweep", "--n", "5", "--a", "2", "--b", "2",
                     "--random", "--count", "5")
     assert code == 2
+    assert last_json(out) == {"error": "random sweep requires explicit seed and count",
+                              "kind": "usage"}
 
 
 def test_sweep_random_with_jobs_is_usage_error(capsys):
@@ -315,9 +317,10 @@ def test_deleted_flags_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--n", "6", "--a", "2", "--b", "4", "--exhaustive",
-      "--seed", "5", "--count", "3"], "--exhaustive takes no --seed or --count"),
+      "--seed", "5", "--count", "3"],
+     "exhaustive sweep takes no seed or count; got seed=5, count=3"),
     (["sweep", "--n", "6", "--a", "2", "--b", "4", "--exhaustive", "--count", "3"],
-     "--exhaustive takes no --seed or --count"),
+     "exhaustive sweep takes no count; got count=3"),
     (["sweep", "--n", "6", "--a", "2", "--b", "4", "--random",
       "--seed", "1", "--count", "-3"], "count must be nonnegative"),
     (["construct", "example1", "--a", "4", "--b", "12", "--t", "9", "--n", "5"],

@@ -157,3 +157,32 @@ def test_complete_bipartite_sizes():
 def test_complete_bipartite_rejects_empty_part():
     with pytest.raises(ValueError, match=">= 1"):
         ef.complete_bipartite(0, 3)
+
+
+# ------------------------------------------------------ non-integer bounds
+
+K4 = ef.complete_graph(4)
+K4_CYCLE = ef.Factor.from_edges(K4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ef.example1(4, 12, 9.5), "t must be an integer, got 9.5"),
+    (lambda: ef.example2(4.0, 24, 6), "a must be an integer, got 4.0"),
+    (lambda: ef.h_na(6.0, 2), "n must be an integer, got 6.0"),
+    (lambda: ef.complete_bipartite(2, 3.0), "y must be an integer, got 3.0"),
+    (lambda: ef.cycle_graph(5.0), "n must be an integer, got 5.0"),
+    (lambda: ef.complete_graph(4.5), "n must be an integer, got 4.5"),
+    (lambda: ef.path_graph("3"), "n must be an integer, got '3'"),
+    (lambda: ef.order_threshold(4.5, 12), "a must be an integer, got 4.5"),
+    (lambda: ef.verify_factor(K4, K4_CYCLE, "2", 4, False),
+     "a must be an integer, got '2'"),
+    (lambda: ef.verify_factor(K4, K4_CYCLE, 2.5, 4, False),
+     "a must be an integer, got 2.5"),
+], ids=["example1", "example2", "h_na", "complete_bipartite", "cycle_graph",
+        "complete_graph", "path_graph", "order_threshold", "verify_factor-str",
+        "verify_factor-float"])
+def test_non_integer_parameters_are_refused_by_name(call, message):
+    # each used to crash with a bare TypeError, or return False on 2.5
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -245,21 +245,19 @@ def test_gadget_blocks_equal_the_explicit_gadget_on_random_graphs():
     # The blocks and their lazy edges/decode views against the gadget built
     # edge by edge, on both gadget kinds.
     rng = random.Random(44)
-    even = parity_free = 0
+    even = parity_free = deficient = 0
     while even < 300 or parity_free < 300:
         g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 1.0))
         if rng.random() < 0.5:
             a, b = rng.choice([(2, 2), (2, 4), (4, 4), (2, 6), (4, 8), (2, 10)])
-            if min(g.degrees) < a:
-                continue
             even += 1
             _assert_gadget_equals_reference(ef.loop_augment(g, a, b), b)
         else:
             a, b = rng.choice([(0, 0), (0, 1), (1, 3), (2, 2), (2, 5), (3, 4), (2, 6)])
-            if min(g.degrees) < a:
-                continue
             parity_free += 1
             _assert_gadget_equals_reference((g, 0), b, a)
+        deficient += min(g.degrees) < a
+    assert deficient >= 100
 
 
 @pytest.mark.parametrize("g, a, b", [
@@ -405,13 +403,12 @@ def test_warm_started_gadget_matching_agrees_with_networkx():
     # free port; augmentations never expose a matched node, so every core
     # stays covered.
     rng = random.Random(39)
-    checked = 0
+    checked = deficient = 0
     while checked < 60:
         g = random_graph(rng, rng.randint(2, 12), rng.choice([0.3, 0.6, 0.9]))
         a, b = rng.choice([(2, 2), (2, 4), (4, 4), (2, 6)])
-        if min(g.degrees) < a:
-            continue
         checked += 1
+        deficient += min(g.degrees) < a
         inst = ef.tutte_gadget(ef.loop_augment(g, a, b), b)
         ref = explicit_gadget(ef.loop_augment(g, a, b), b)
         matching = ef.max_matching(inst)
@@ -419,6 +416,7 @@ def test_warm_started_gadget_matching_agrees_with_networkx():
         assert len(matching) == _networkx_matching_size(ref.n_nodes, ref.edges)
         covered = {v for e in matching for v in e}
         assert all(c in covered for cores in inst.cores for c in cores)
+    assert deficient >= 10
 
 
 def _networkx_required_cover(n, edges, optional):
@@ -574,7 +572,7 @@ def test_warm_start_agrees_with_cold_start_on_random_gadgets():
     # matching, where some search must fail to cover its root.
     rng = random.Random(43)
     perfect = {True: 0, False: 0}
-    even = parity_free = 0
+    even = parity_free = deficient = 0
     while even < 100 or parity_free < 100:
         if rng.random() < 0.5:
             x = rng.randint(2, 5)
@@ -584,15 +582,14 @@ def test_warm_start_agrees_with_cold_start_on_random_gadgets():
         else:
             g = random_graph(rng, rng.randint(2, 12), rng.choice([0.3, 0.6, 0.9]))
         a, b = rng.choice([(2, 2), (2, 4), (4, 4), (2, 6)])
-        if min(g.degrees) < a:
-            continue
+        deficient += min(g.degrees) < a
         if even < 100:
             even += 1
             perfect[_assert_warm_matches_cold(ef.loop_augment(g, a, b), b)] += 1
         if parity_free < 100:
             parity_free += 1
             perfect[_assert_warm_matches_cold((g, 0), b, a)] += 1
-    assert min(perfect.values()) >= 40
+    assert min(perfect.values()) >= 40 and deficient >= 10
 
 
 @pytest.mark.parametrize("g, a, b", [

@@ -124,6 +124,8 @@ def test_spectral_bounds_refuse_non_integers_by_name(monkeypatch):
         (lambda: ef.conjecture_sweep(5, 2.0, 2), "a must be an integer, got 2.0"),
         (lambda: ef.conjecture_sweep(5, 2, "4", source="random", seed=1, count=5),
          "b must be an integer, got '4'"),
+        (lambda: ef.conjecture_sweep(5, 2, 4, source="random", seed=1, count=2.5),
+         "count must be an integer, got 2.5"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as err:
@@ -221,19 +223,39 @@ def test_lambda1_obeys_the_edge_count_bound(g):
     assert ef.lambda1(g).lambda1 <= (-1 + math.sqrt(1 + 8 * g.m)) / 2 + 1e-12
 
 
-def _naive_sweep(n, a, b):
-    """Every mask built as a Graph, kept when its degrees are sorted."""
+def _naive_funnel(n, a, b, masks):
+    """Every mask built as a Graph and examined with public calls only."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rho = ef.rho(n, a)
     records = []
-    for mask in range(1 << len(pairs)):
+    for mask in masks:
         g = ef.build_graph(n, [e for i, e in enumerate(pairs) if (mask >> i) & 1])
-        degs = g.degrees
-        if any(degs[i] < degs[i + 1] for i in range(n - 1)):
+        lam = ef.lambda1(g).lambda1
+        cls = ef.classify_threshold(lam, rho)
+        if cls == "below":
             continue
-        rec = spectral._examine(g, mask, a, b, ef.rho(n, a))
-        if rec is not None:
-            records.append(rec)
+        verdict = None
+        if cls == "above":
+            verdict = "present" if ef.find_ab_factor(g, a, b) is not None else "absent"
+        records.append(ef.SweepRecord(
+            n, a, b, mask, tuple(g.sorted_edges()), lam, rho,
+            "candidate" if cls == "above" else "boundary", verdict))
     return records
+
+
+def _naive_sweep(n, a, b):
+    """Every mask in increasing order, kept when its degrees are sorted."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def degrees_sorted(mask):
+        degs = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if (mask >> i) & 1:
+                degs[u] += 1
+                degs[v] += 1
+        return all(degs[i] >= degs[i + 1] for i in range(n - 1))
+
+    return _naive_funnel(n, a, b, filter(degrees_sorted, range(1 << len(pairs))))
 
 
 def test_sweep_equals_the_naive_funnel():
@@ -243,6 +265,18 @@ def test_sweep_equals_the_naive_funnel():
                 continue
             for b in range(a, n):
                 assert ef.conjecture_sweep(n, a, b) == _naive_sweep(n, a, b), (n, a, b)
+
+
+@pytest.mark.parametrize("n, a, b, seed, count", [
+    (5, 2, 2, 9, 600), (6, 2, 4, 5, 1000), (6, 1, 3, 11, 1000), (7, 2, 4, 7, 4000)])
+def test_random_sweep_equals_the_naive_funnel_on_its_draws(n, a, b, seed, count):
+    # The same Mersenne-Twister draws, every one built: the edge-count skip
+    # drops only masks whose records would be 'below'.
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(n * (n - 1) // 2) for _ in range(count)]
+    records = ef.conjecture_sweep(n, a, b, source="random", seed=seed, count=count)
+    assert records == _naive_funnel(n, a, b, masks)
+    assert len(records) >= 5
 
 
 # Pinned at the commit whose sweep walked every mask in increasing order:
