@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ScaleError
 from .graph import Graph, INFINITY, sigma2, \
     vertex_connectivity, edge_connectivity, degree_profile, _as_vertex_set, \
     _require_even_pair, _require_ints
-from .search import _gadget_matching, loop_augment, tutte_gadget
+from .search import _even_barrier
 
 #: Cap for one (S, T) evaluation on adjacency bitmasks, which hold about n^2/2
 #: bits on a sparse graph: a path at the cap adds 6 MB (100 MB at n = 40000).
@@ -84,19 +83,12 @@ def _split_masks(g: Graph, s: Iterable[int], t: Iterable[int]
     tt = _as_vertex_set(g, t, "T")
     if ss & tt:
         raise ValueError(f"S and T overlap on {sorted(ss & tt)}")
-    return g.adjacency_masks, _set_mask(ss), _set_mask(tt)
+    return g.adjacency_masks, sum(1 << v for v in ss), sum(1 << v for v in tt)
 
 
 def odd_cut_q(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
     """Count components Q of G-(S+T) whose cut into T has odd size."""
     return _deficiency_terms(g.n, *_split_masks(g, s, t))[0]
-
-
-def _set_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _deficiency_terms(n: int, adj: Sequence[int], s_mask: int, t_mask: int
@@ -157,42 +149,20 @@ def criterion_decide(g: Graph, a: int, b: int
     with a maximiser (S, T) and its value.  No tie-break is promised: the
     witness is a maximiser, not a particular one.
 
-    By Tutte's f-factor theorem in deficiency form (Tutte 1952, Can. J.
-    Math. 4; Anstee 1985, J. Algorithms 6), the maximum deficiency equals
-    the number of nodes that a maximum matching of the even gadget
-    ``tutte_gadget(loop_augment(g, a, b), b)`` leaves exposed, so the
-    criterion holds iff that matching is perfect.  Otherwise the witness is
-    read off the search trees that failed, whose labels the matching keeps:
-    with A the nodes that are dead and not even,
-
-    - S is every vertex v with d(v) >= b whose ports all lie in A;
-    - T is every other vertex v with d(v) < a, or with a port outside A
-      while every hard core and soft-pair node of v lies in A.
-
-    This is the f-factor barrier normalised to the port/core gadget.  The
-    witness is re-evaluated by :func:`even_factor_deficiency`, which shares
-    no code with the matching, and a value other than the exposed count
-    raises RuntimeError.  Graphs with more than ``DEFICIENCY_VERTEX_CAP``
-    vertices raise :class:`ScaleError` before any gadget is built.
+    It holds iff the even gadget's matching is perfect; else the witness is
+    the one :func:`search._even_barrier` reads off the failed search trees.
+    :func:`even_factor_deficiency`, which shares no code with the matching,
+    re-evaluates it, and a value other than the exposed count raises
+    RuntimeError.  Above ``DEFICIENCY_VERTEX_CAP`` vertices a
+    :class:`ScaleError` is raised before any gadget is built.
     """
     _require_even_pair(a, b)
     if g.n > DEFICIENCY_VERTEX_CAP:
         raise ScaleError(
             f"criterion supports n <= {DEFICIENCY_VERTEX_CAP}, got n={g.n}")
-    instance = tutte_gadget(loop_augment(g, a, b), b)
-    mate, dead, even = _gadget_matching(instance)
-    exposed = mate.count(-1)
+    exposed, s, t = _even_barrier(g, a, b)
     if not exposed:
         return True, None
-    in_a = [x and not y for x, y in zip(dead, even)]
-    s, t = [], []
-    for v, d in enumerate(g.degrees):
-        ports_in_a = all(in_a[p] for p in instance.ports[v])
-        if d >= b and ports_in_a:
-            s.append(v)
-        elif d < a or not ports_in_a and all(
-                in_a[x] for x in chain(instance.cores[v], *instance.pairs[v])):
-            t.append(v)
     value = even_factor_deficiency(g, a, b, s, t)
     if value != exposed:
         raise RuntimeError(f"internal error: witness value {value} differs "
@@ -201,8 +171,10 @@ def criterion_decide(g: Graph, a: int, b: int
 
 
 def order_threshold(a: int, b: int) -> Fraction:
-    """The vertex-count threshold 2a + b + (a^2 - 3a)/b - 2."""
+    """The vertex-count threshold 2a + b + (a^2 - 3a)/b - 2, for b != 0."""
     _require_ints(a=a, b=b)
+    if b == 0:
+        raise ValueError(f"need b != 0, got a={a}, b={b}")
     return 2 * a + b + Fraction(a * a - 3 * a, b) - 2
 
 
@@ -246,8 +218,12 @@ def conjecture_conditions(g: Graph, a: int, b: int) -> ConditionReport:
 def prop_f_eval(a: int, b: int, n: int, p: int, x) -> Fraction:
     """Exact value of n + (a - 1 - an/(a+b))x + (x - 1 - b)(ax - p)/b.
 
-    With x = xn/xd, the value is one fraction over b(a+b)xd^2.
+    With x = xn/xd, the value is one fraction over b(a+b)xd^2.  A non-integer
+    a, b, n or p, and b = 0 or a + b = 0, raise ValueError.
     """
+    _require_ints(a=a, b=b, n=n, p=p)
+    if b == 0 or a + b == 0:
+        raise ValueError(f"need b != 0 and a + b != 0, got a={a}, b={b}")
     x = Fraction(x)
     xn, xd = x.numerator, x.denominator
     num = (b * (a + b) * n * xd * xd

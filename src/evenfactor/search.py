@@ -8,24 +8,10 @@ k = (b-a)/2 loops, carried as the one count of the pair (G, k), and each
 loop a vertex may leave unused becomes a soft pair of nodes on its ports, so
 loops get no ports of their own and loops that every b-factor uses get no
 nodes at all.  For an [a,b]-factor of any parity, each vertex instead gets
-min(b, d) - a soft singles on its ports, which may stay exposed.  A factor
-exists iff a matching covers every node but the soft singles.
-The gadget is kept as per-vertex blocks in O(nodes + m) space: every node
-of a block has the same neighbours, so the matching reads them from one
-shared list per vertex, and no join is written out as an edge on the way
-to an answer (``MatchingInstance.edges`` and ``decode`` are views, expanded
-only when read).
-The matching starts from a greedy factor of the graph, its parity repaired
-where soft pairs take ports two at a time, with every hard core, soft
-single and soft pair then placed on the ports left free; on dense gadgets
-this leaves only a handful of nodes exposed, and no second greedy pass
-runs before the searches.  It roots its searches only at nodes that must be
-covered, and each search then works only on the vertices it labels, so its
-cost follows the search tree rather than the size of the gadget.  Blossom
-bases are kept in a union-find, so a blossom contraction costs the
-blossom's path, not the search tree.  A search that fails leaves its tree
-dead, labels kept, and later searches skip it, so an absent answer pays
-once for each region no matching can cover, not once per uncovered node.
+min(b, d) - a soft singles on its ports, which may stay exposed.  One
+matching routine, :func:`_gadget_matching`, serves every question, and one
+count, :func:`_uncovered`, reads the answer: a factor exists iff the
+matching leaves no node but soft singles exposed.
 """
 
 from __future__ import annotations
@@ -410,17 +396,17 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
 
 
 def max_matching(instance: MatchingInstance) -> set[Edge]:
-    """Matching of a gadget instance, as an edge set, that covers as many
-    nodes other than soft singles as any matching can; on an even gadget,
-    a maximum-cardinality matching.  See :func:`_gadget_matching`."""
+    """The matching of :func:`_gadget_matching` as an edge set: on an even
+    gadget, a maximum-cardinality matching."""
     mate = _gadget_matching(instance)[0]
     return {(v, u) for v, u in enumerate(mate) if v < u}
 
 
 def _gadget_matching(instance: MatchingInstance
                      ) -> tuple[list[int], list[bool], list[bool]]:
-    """The mate array of :func:`max_matching`'s matching, with the
-    ``dead`` and ``even`` labels that :func:`_blossom_matching` leaves.
+    """Matching of a gadget instance, as a mate array, that covers as many
+    nodes other than soft singles as any matching can, with the ``dead`` and
+    ``even`` labels that :func:`_blossom_matching` leaves.
 
     The search starts from a matching built per host vertex v, whose real
     degree may reach ``top`` = (ports of v) - (hard cores of v):
@@ -450,10 +436,7 @@ def _gadget_matching(instance: MatchingInstance
     finish.  Soft singles are its optional nodes.  The searches read the
     gadget's blocks through shared per-vertex lists (:func:`_gadget_lists`),
     in O(nodes + m) space; the ``edges`` and ``decode`` views are never
-    expanded here.  A search that fails freezes its tree: the dead nodes
-    keep their labels and their mates, later searches skip them, and no
-    live node's ``base`` or ``mate`` ever points into a dead tree, so the
-    result still covers as many required nodes as any matching can.
+    expanded here.
     """
     n = instance.n_nodes
     real, pairs = instance.real, instance.pairs
@@ -524,33 +507,42 @@ def _gadget_lists(instance: MatchingInstance):
     return own, shared, home
 
 
+def _uncovered(instance: MatchingInstance, mate: list[int]) -> int:
+    """The nodes other than soft singles that the mate array leaves exposed.
+    Every gadget answer is yes iff this is 0."""
+    return mate.count(-1) - sum(
+        mate[x] < 0 for x in chain.from_iterable(instance.singles))
+
+
 def is_perfect(instance: MatchingInstance, matching: set[Edge]) -> bool:
     """True iff the matching covers every gadget node but the soft singles:
     a perfect matching of an even gadget."""
-    singles = set(chain.from_iterable(instance.singles))
-    covered = set(chain.from_iterable(matching)) - singles
-    return len(covered) == instance.n_nodes - len(singles)
+    mate = [-1] * instance.n_nodes
+    for u, v in matching:
+        mate[u], mate[v] = v, u
+    return not _uncovered(instance, mate)
 
 
-def _factor_from_gadget(looped: tuple[Graph, int], a: int, b: int,
+def _factor_from_gadget(g: Graph, a: int, b: int,
                         require_even: bool) -> Factor | None:
-    """Decide a factor by matching on the gadget of the looped graph
-    ``(g, k)``: the even gadget for degree b when ``require_even``, else the
-    parity-free one for [a, b].
+    """Decide a factor of g by matching on a gadget: the even gadget of
+    ``loop_augment(g, a, b)``, which validates a and b, for degree b when
+    ``require_even``, else the parity-free one of g for [a, b].  Then a
+    vertex of degree below a makes the answer absent before any gadget.
 
-    The gadget names g's edges as they are, so the decoded edges form the
-    returned factor, which is re-verified against [a, b] (and parity when
-    requested).
+    The only port-port pairs are real edges, and real edge i is matched
+    when its ports 2i and 2i+1 are, so those edges of g form the returned
+    factor, which is re-verified against [a, b] (and parity when requested).
     """
-    g, _ = looped
-    instance = tutte_gadget(looped, b, None if require_even else a)
-    matching = max_matching(instance)
-    if not is_perfect(instance, matching):
+    looped = loop_augment(g, a, b) if require_even else (g, 0)
+    if any(d < a for d in g.degrees):
         return None
-    # Only a real edge joins two ports, and real edge i is (2i, 2i+1).
-    ports_end = 2 * len(instance.real)
-    factor = Factor.from_edges(
-        g, [instance.real[p >> 1] for p, q in matching if q < ports_end])
+    instance = tutte_gadget(looped, b, None if require_even else a)
+    mate = _gadget_matching(instance)[0]
+    if _uncovered(instance, mate):
+        return None
+    factor = Factor.from_edges(g, [e for i, e in enumerate(instance.real)
+                                   if mate[2 * i] == 2 * i + 1])
     if not verify_factor(g, factor, a, b, require_even):
         raise RuntimeError("internal error: decoded factor failed verification")
     return factor
@@ -563,10 +555,42 @@ def find_even_factor(g: Graph, a: int, b: int) -> Factor | None:
     Any returned factor is re-verified.  Vertices of degree below a make the
     answer absent immediately.
     """
-    _require_even_pair(a, b)
-    if any(d < a for d in g.degrees):
-        return None
-    return _factor_from_gadget(loop_augment(g, a, b), a, b, require_even=True)
+    return _factor_from_gadget(g, a, b, require_even=True)
+
+
+def _even_barrier(g: Graph, a: int, b: int
+                  ) -> tuple[int, list[int], list[int]]:
+    """``(exposed, S, T)`` on the even gadget ``tutte_gadget(loop_augment(g,
+    a, b), b)``: the nodes its matching leaves exposed and, if there are
+    any, a maximiser (S, T) of the even-factor deficiency (else S = T = []).
+
+    By Tutte's f-factor theorem in deficiency form (Tutte 1952, Can. J.
+    Math. 4; Anstee 1985, J. Algorithms 6), the maximum deficiency equals
+    the exposed count.  (S, T) is read off the search trees that failed,
+    whose labels the matching keeps: with A the nodes that are dead and not
+    even,
+
+    - S is every vertex v with d(v) >= b whose ports all lie in A;
+    - T is every other vertex v with d(v) < a, or with a port outside A
+      while every hard core and soft-pair node of v lies in A.
+
+    This is the f-factor barrier normalised to the port/core gadget.
+    """
+    instance = tutte_gadget(loop_augment(g, a, b), b)
+    mate, dead, even = _gadget_matching(instance)
+    exposed = _uncovered(instance, mate)
+    if not exposed:
+        return 0, [], []
+    in_a = [x and not y for x, y in zip(dead, even)]
+    s, t = [], []
+    for v, d in enumerate(g.degrees):
+        ports_in_a = all(in_a[p] for p in instance.ports[v])
+        if d >= b and ports_in_a:
+            s.append(v)
+        elif d < a or not ports_in_a and all(
+                in_a[x] for x in chain(instance.cores[v], *instance.pairs[v])):
+            t.append(v)
+    return exposed, s, t
 
 
 def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
@@ -582,6 +606,4 @@ def find_ab_factor(g: Graph, a: int, b: int) -> Factor | None:
     _require_ints(a=a, b=b)
     if not (0 <= a <= b):
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-    if any(d < a for d in g.degrees):
-        return None
-    return _factor_from_gadget((g, 0), a, b, require_even=False)
+    return _factor_from_gadget(g, a, b, require_even=False)

@@ -124,9 +124,10 @@ def rho(n: int, a: int) -> float:
     positive at its larger critical point c, nor at n-3, where it equals
     -n^2 + 5n - 8 + 3a - a^2.  It increases right of c and equals
     n(n-1) - a(a-1) > 0 at n-1, so bisection on [max(n-3, c), n-1] finds the
-    largest root to a bracket width of ``DEFAULT_ROOT_TOL``.  A left end where
-    the cubic vanishes is that root: at n=2, a=1 the cubic is x^2(x+1), and
-    its largest root is the double root 0 = c.
+    largest root to a bracket width of ``DEFAULT_ROOT_TOL``, or to adjacent
+    floats once rho >= 8192.  A left end where the cubic vanishes is that
+    root: at n=2, a=1 the cubic is x^2(x+1), and its largest root is the
+    double root 0 = c.
     """
     _require_ints(n=n, a=a)
     if n < a + 1:
@@ -137,13 +138,14 @@ def rho(n: int, a: int) -> float:
     lo, hi = max(float(n - 3), c), float(n - 1)
     if _cubic(n, a, lo) >= 0:
         return lo
-    while hi - lo > DEFAULT_ROOT_TOL:
-        mid = (lo + hi) / 2
+    mid = (lo + hi) / 2
+    while hi - lo > DEFAULT_ROOT_TOL and lo < mid < hi:
         if _cubic(n, a, mid) >= 0:
             hi = mid
         else:
             lo = mid
-    return (lo + hi) / 2
+        mid = (lo + hi) / 2
+    return mid
 
 
 @dataclass(frozen=True)
@@ -221,9 +223,9 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
       ``random.Random(seed).getrandbits``, one at a time, in draw order.
 
     Every mask with at least ``_min_edges(rho)`` edges is built, eigensolved
-    and, above rho, given a verdict.  Every parameter is checked before any
-    graph is built; only ``jobs=1`` is accepted, since sweeps run in one
-    process.
+    and, above rho, given a verdict.  Every parameter, and the source's cap,
+    is checked before rho is computed or any graph is built; only ``jobs=1``
+    is accepted, since sweeps run in one process.
     """
     _require_ints(n=n, a=a, b=b)
     if not (1 <= a <= b):
@@ -231,7 +233,6 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     # The keyword stays because the benchmark's sweep workload passes jobs=1.
     if jobs != 1:
         raise ValueError(f"sweeps run serially; jobs must be 1, got {jobs}")
-    rho_value = rho(n, a)
     if source == "exhaustive":
         given = {name: value for name, value in (("seed", seed), ("count", count))
                  if value is not None}
@@ -243,7 +244,7 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     elif source == "random":
         if seed is None or count is None:
             raise ValueError("random sweep requires explicit seed and count")
-        _require_ints(count=count)
+        _require_ints(seed=seed, count=count)
         if count < 0:
             raise ValueError(f"random sweep count must be nonnegative, got {count}")
         cap = SWEEP_RANDOM_CAP
@@ -252,6 +253,7 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     if n > cap:
         raise ScaleError(f"{source} sweep supports n <= {cap}, got n={n}")
 
+    rho_value = rho(n, a)
     pairs = list(itertools.combinations(range(n), 2))
     min_edges = _min_edges(rho_value)
     if source == "exhaustive":

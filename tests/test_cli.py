@@ -345,6 +345,21 @@ def test_sweep_random_above_its_cap_is_a_scale_error(capsys):
     assert last_json(out)["kind"] == "scale"
 
 
+@pytest.mark.parametrize("source", [["--exhaustive"],
+                                    ["--random", "--seed", "1", "--count", "1"]],
+                         ids=["exhaustive", "random"])
+def test_sweep_above_its_cap_refuses_before_computing_rho(capsys, monkeypatch, source):
+    # rho's bisection once never ended from n = 8194 on, and the sweep
+    # computed rho before it checked its cap
+    def no_rho(*args):
+        raise AssertionError("rho computed above the sweep cap")
+
+    monkeypatch.setattr(spectral, "rho", no_rho)
+    code, out = run(capsys, "sweep", "--n", "9000", "--a", "2", "--b", "2", *source)
+    assert code == 3
+    assert last_json(out)["kind"] == "scale"
+
+
 def test_repro_single_claim(capsys):
     code, out = run(capsys, "repro", "--claim", "sweep-smoke")
     assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import evenfactor as ef
 import criterion_oracle as oracle
-from evenfactor import criteria
+from evenfactor import criteria, search
 from evenfactor.criteria import DEFICIENCY_VERTEX_CAP
 from criterion_oracle import EXHAUSTIVE_VERTEX_CAP, enumerate_criterion
 from helpers import brute_max_deficiency, lovasz_deficiency, random_graph
@@ -407,7 +407,7 @@ def test_criterion_refuses_above_the_cap_before_any_gadget(monkeypatch):
     def no_gadget(*args):
         raise AssertionError("gadget built above the cap")
 
-    monkeypatch.setattr(criteria, "tutte_gadget", no_gadget)
+    monkeypatch.setattr(search, "tutte_gadget", no_gadget)
     over = ef.path_graph(DEFICIENCY_VERTEX_CAP + 1)
     with pytest.raises(ef.ScaleError, match=f"n <= {DEFICIENCY_VERTEX_CAP}"):
         ef.criterion_decide(over, 2, 2)
@@ -645,3 +645,23 @@ def test_prop_f_eval_equals_the_literal_formula():
                         assert got == literal, (a, b, n, p, x)
                         cases += 1
     assert cases == 4 * 21 * 6 * 4 * 6
+
+
+def test_threshold_formulas_refuse_bad_parameters_by_name():
+    # Non-integer parameters and zero denominators are refused by name,
+    # not left to Fraction's ZeroDivisionError or TypeError.
+    cases = [
+        (lambda: ef.order_threshold(2, 0), "need b != 0, got a=2, b=0"),
+        (lambda: ef.prop_f_eval(4, -4, 19, 1, 13),
+         "need b != 0 and a + b != 0, got a=4, b=-4"),
+        (lambda: ef.prop_f_eval(4, 0, 19, 1, 13),
+         "need b != 0 and a + b != 0, got a=4, b=0"),
+        (lambda: ef.prop_f_eval(4.0, 12, 19, 1, 13), "a must be an integer, got 4.0"),
+        (lambda: ef.prop_f_eval(4, 12.5, 19, 1, 13), "b must be an integer, got 12.5"),
+        (lambda: ef.prop_f_eval(4, 12, "19", 1, 13), "n must be an integer, got '19'"),
+        (lambda: ef.prop_f_eval(4, 12, 19, None, 13), "p must be an integer, got None"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

@@ -198,6 +198,26 @@ def test_parity_free_gadget_rejects_loops():
         ef.tutte_gadget(ef.loop_augment(C4, 2, 4), 4, 2)
 
 
+def test_find_ab_factor_answers_as_is_perfect_while_singles_stay_exposed():
+    # find_ab_factor reads its answer off the mate array and is_perfect off
+    # max_matching's edge set; neither may count an exposed soft single
+    rng = random.Random(43)
+    present_with_single_exposed = absent = 0
+    for _ in range(300):
+        a, b = rng.choice([(0, 2), (1, 2), (1, 3), (2, 4), (2, 5), (3, 5)])
+        g = random_graph(rng, rng.randint(3, 12), rng.uniform(0.2, 1.0))
+        inst = ef.tutte_gadget((g, 0), b, a)
+        matching = ef.max_matching(inst)
+        perfect = ef.is_perfect(inst, matching)
+        assert (ef.find_ab_factor(g, a, b) is None) == (not perfect), (sorted(g.edges), a, b)
+        covered = set(itertools.chain.from_iterable(matching))
+        present_with_single_exposed += perfect and not covered.issuperset(
+            itertools.chain.from_iterable(inst.singles))
+        absent += not perfect
+    assert present_with_single_exposed >= 100
+    assert absent >= 30
+
+
 def test_gadget_names_deficient_vertex():
     # The leaves of the star have degree 1 < 2: each keeps its port for its
     # edge and gets one deficit node, listed in no block, which no matching
@@ -640,6 +660,21 @@ def test_decision_path_never_expands_the_edge_views(monkeypatch):
     assert len(built) == 3
     for inst in built:
         assert "edges" not in vars(inst) and "decode" not in vars(inst)
+
+
+def test_decisions_read_the_mate_array_not_the_edge_set(monkeypatch):
+    # Every library decision counts exposed nodes on the kernel's mate
+    # array; max_matching and is_perfect serve only outside callers
+    def edge_set_view(*args):
+        raise AssertionError("a decision built the edge-set matching")
+
+    monkeypatch.setattr(search, "max_matching", edge_set_view)
+    monkeypatch.setattr(search, "is_perfect", edge_set_view)
+    assert ef.find_even_factor(ef.complete_graph(8), 2, 6) is not None
+    assert ef.find_even_factor(ef.example1(4, 12, 9), 4, 12) is None
+    assert ef.find_ab_factor(ef.complete_graph(8), 2, 5) is not None
+    assert ef.find_ab_factor(ef.complete_bipartite(3, 9), 2, 2) is None
+    assert ef.criterion_decide(ef.example1(4, 12, 9), 4, 12)[1].value == 2
 
 
 def test_find_even_factor_on_k60_stays_small():

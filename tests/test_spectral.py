@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -126,6 +127,12 @@ def test_spectral_bounds_refuse_non_integers_by_name(monkeypatch):
          "b must be an integer, got '4'"),
         (lambda: ef.conjecture_sweep(5, 2, 4, source="random", seed=1, count=2.5),
          "count must be an integer, got 2.5"),
+        (lambda: ef.conjecture_sweep(4, 2, 2, source="random", seed=[1], count=2),
+         "seed must be an integer, got [1]"),
+        (lambda: ef.conjecture_sweep(4, 2, 2, source="random", seed=1.5, count=2),
+         "seed must be an integer, got 1.5"),
+        (lambda: ef.conjecture_sweep(4, 2, 2, source="random", seed="x", count=2),
+         "seed must be an integer, got 'x'"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as err:
@@ -200,6 +207,28 @@ def test_rho_is_the_largest_real_root_of_the_cubic():
             cubic = x**3 - (n - 3) * x**2 - (a + n - 3) * x - a * a + (a - 1) * n + 1
             root = max(sympy.Poly(cubic, x).real_roots())
             assert ef.rho(n, a) == pytest.approx(float(root), abs=1e-9), (n, a)
+
+
+def test_rho_ends_where_floats_are_coarser_than_its_tolerance():
+    # From rho = 8192 on, adjacent floats lie more than DEFAULT_ROOT_TOL
+    # apart, so the bisection must end when its midpoint rounds to an end;
+    # a CPU timer turns a bisection that never ends into a failure.
+    def out_of_time(*args):
+        raise TimeoutError("rho took more than 2 s of CPU")
+
+    previous = signal.signal(signal.SIGVTALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_VIRTUAL, 2.0)
+    try:
+        got = {(n, a): ef.rho(n, a)
+               for n, a in [(8194, 2), (8194, 4), (9000, 2), (10**6, 2)]}
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+    x = sympy.Symbol("x")
+    for (n, a), value in got.items():
+        cubic = x**3 - (n - 3) * x**2 - (a + n - 3) * x - a * a + (a - 1) * n + 1
+        root = float(max(sympy.Poly(cubic, x).real_roots()))
+        assert abs(value - root) <= math.ulp(root), (n, a)
 
 
 def test_rho_matches_lambda1_spot_checks():
