@@ -150,7 +150,8 @@ def criterion_decide(g: Graph, a: int, b: int
     witness is a maximiser, not a particular one.
 
     It holds iff the even gadget's matching is perfect; else the witness is
-    the one :func:`search._even_barrier` reads off the failed search trees.
+    the one :func:`search._even_barrier` reads off the dead trees of the
+    matching's forest.
     :func:`even_factor_deficiency`, which shares no code with the matching,
     re-evaluates it, and a value other than the exposed count raises
     RuntimeError.  Above ``DEFICIENCY_VERTEX_CAP`` vertices a

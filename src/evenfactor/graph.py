@@ -50,7 +50,8 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adjacency)
+        """Counted straight off the edges: no neighbour sets are built."""
+        return _degrees(self.n, self.edges)
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -63,6 +64,15 @@ class Graph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+
+def _degrees(n: int, edges: Iterable[Edge]) -> tuple[int, ...]:
+    """The degree of each of the vertices 0..n-1 in the edge list."""
+    degs = [0] * n
+    for u, v in edges:
+        degs[u] += 1
+        degs[v] += 1
+    return tuple(degs)
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -152,16 +162,26 @@ def degree_profile(g: Graph) -> tuple[tuple[int, ...], int, int]:
 
 
 def sigma2(g: Graph) -> float | int:
-    """Minimum of d(u)+d(v) over non-adjacent pairs; INFINITY if none exist."""
+    """Minimum of d(u)+d(v) over non-adjacent pairs; INFINITY if none exist.
+
+    With the vertices sorted by degree, the best partner of u is the first
+    vertex in that order that is neither u nor a neighbour of u, found after
+    at most d(u) + 1 skips.  The vertices are taken as u in the same order,
+    and the scan stops once d(u) plus the least degree reaches the best sum
+    so far, so it makes O(n + m) edge tests after the O(n log n) sort.
+    """
     degs = g.degrees
+    order = sorted(range(g.n), key=degs.__getitem__)
+    edges = g.edges
     best: float | int = INFINITY
-    for u in range(g.n):
-        adj = g.adjacency[u]
-        for v in range(u + 1, g.n):
-            if v not in adj:
-                s = degs[u] + degs[v]
-                if s < best:
-                    best = s
+    for u in order:
+        du = degs[u]
+        if du + degs[order[0]] >= best:
+            break
+        for v in order:
+            if v != u and (min(u, v), max(u, v)) not in edges:
+                best = min(best, du + degs[v])
+                break
     return best
 
 

@@ -9,9 +9,11 @@ loop a vertex may leave unused becomes a soft pair of nodes on its ports, so
 loops get no ports of their own and loops that every b-factor uses get no
 nodes at all.  For an [a,b]-factor of any parity, each vertex instead gets
 min(b, d) - a soft singles on its ports, which may stay exposed.  One
-matching routine, :func:`_gadget_matching`, serves every question, and one
-count, :func:`_uncovered`, reads the answer: a factor exists iff the
-matching leaves no node but soft singles exposed.
+matching routine, :func:`_gadget_matching`, serves every question: after a
+greedy warm start it grows one Hungarian forest, rooted at every node left
+exposed, with blossom contraction.  One count, :func:`_uncovered`, reads
+the answer: a factor exists iff the matching leaves no node but soft
+singles exposed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, _require_even_pair, _require_int, _require_ints
+from .graph import Edge, Graph, _degrees, _require_even_pair, _require_int, \
+    _require_ints
 
 
 @dataclass(frozen=True)
@@ -35,11 +38,7 @@ class Factor:
     @classmethod
     def from_edges(cls, host: Graph, edges: Iterable[Edge]) -> "Factor":
         canon = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        degs = [0] * host.n
-        for u, v in canon:
-            degs[u] += 1
-            degs[v] += 1
-        return cls(canon, tuple(degs))
+        return cls(canon, _degrees(host.n, canon))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +101,7 @@ def verify_factor(g: Graph, factor: Factor, a: int, b: int,
     foreign = factor.edges - g.edges
     if foreign:
         raise ValueError(f"factor contains non-host edges {sorted(foreign)}")
-    degs = [0] * g.n
-    for u, v in factor.edges:
-        degs[u] += 1
-        degs[v] += 1
-    for d in degs:
+    for d in _degrees(g.n, factor.edges):
         if not (a <= d <= b):
             return False
         if require_even and d % 2:
@@ -202,81 +197,103 @@ def tutte_gadget(looped: tuple[Graph, int], b: int,
     )
 
 
-def _blossom_matching(n: int, own: Sequence[Sequence[int]],
-                      shared: Sequence[Sequence[int]],
-                      home: Sequence[Sequence[int] | None],
+def _blossom_matching(n: int, own: Sequence[tuple[int, ...]],
+                      shared: Sequence[tuple[int, ...]],
+                      home: Sequence[tuple[int, ...] | None],
                       init: Sequence[int] | None,
                       optional: Iterable[int]
                       ) -> tuple[list[int], list[bool], list[bool]]:
     """Matching in a general graph that covers as many required nodes as any
-    matching can, by alternating-tree searches with blossom contraction.
+    matching can, by one Hungarian forest with blossom contraction.
     Returns the mate array (mate[v] = -1 for exposed v) and the labels
-    ``dead`` and ``even``: dead[v] when v lies in a search tree that failed,
-    and then even[v] when v is even in it.  Every other label is reset, so
-    even[v] implies dead[v].
+    ``dead`` and ``even``: dead[v] when v lies in a tree of the forest that
+    never covered its root, and then even[v] when v is even in it.  Every
+    other label is reset, so even[v] implies dead[v].
 
-    The graph is given as two neighbour lists per node: v's neighbours are
-    ``own[v]`` followed by ``shared[v]``.  A shared list is one object read
-    by many nodes, and ``home[u]`` is the shared list that holds u (None if
-    none does); a plain adjacency list is ``own`` with ``shared = [()] * n``
-    and ``home = [None] * n``.
+    The graph is given as two neighbour tuples per node: v's neighbours are
+    ``own[v] + shared[v]``.  A shared tuple is one object read by many
+    nodes, and ``home[u]`` is the shared tuple that holds u (None if none
+    does); a plain adjacency list is ``own`` with ``shared = [()] * n`` and
+    ``home = [None] * n``.
 
     Nodes in ``optional`` may stay exposed; every other node is required.
     With no optional nodes the result is a maximum matching.  ``init`` is an
     optional starting matching as a mate array; it must be symmetric and use
     only edges of the graph (ValueError otherwise).  The check decides "u is
     a neighbour of v" by ``u in own[v]`` or ``home[u] is shared[v]``: O(1)
-    per node when the own lists are short.  One search runs from every
-    required node left exposed, with no greedy pass first: a search's first
-    step already matches its root to an exposed neighbour.  Optional nodes
-    are never roots.  A search ends at an exposed node (augment) or at a
-    matched optional node that becomes even (outer); flipping the even
-    alternating path to it covers the root and exposes that node.  Either
-    way every covered required node stays covered, so the covered required
-    nodes grow as in the greedy algorithm on the matching matroid.  Blossom
-    bases are a union-find with path halving (Gabow 1976; Tarjan 1983,
-    ch. 9): a contraction walks each side of the blossom up to the lowest
-    common ancestor and points each set root it meets there, so it costs the
-    blossom's path, not the tree.  After a search that covers its root, only
-    the nodes it labelled are reset, so a search costs time in proportion to
-    its tree, not to n.
+    per node when the own tuples are short.
 
-    A search that fails leaves its whole tree dead instead: its nodes keep
-    their labels, no later search enters them, and its root, with every
-    node of the tree, stays as it is for good (the Hungarian forest of
-    Edmonds 1965, "Paths, trees, and flowers"; Lovász and Plummer, *Matching
-    Theory*).  The classical lemma covers searches that only augment; here a
-    search may also end at a matched optional node, so the proof is given
-    in full.  Let D be the union of the dead trees so far; assume, by
-    induction over the searches, that each of them still has the matching
-    it had when it failed.
+    Every required node left exposed roots one tree, and all roots start in
+    one first-in first-out queue, so the trees grow breadth-first side by
+    side (the Hungarian forest of Edmonds 1965, "Paths, trees, and flowers";
+    growing every root at once follows Hopcroft and Karp 1973).  Optional
+    nodes are never roots.  ``tree[v]`` is the list of the nodes of v's tree,
+    its root first, or None while v is unlabelled.  Scanning an even node v
+    of tree t meets each neighbour x in one of four ways:
 
-    1. A failed tree holds no even optional node and no exposed node other
-       than its root: the search returns as soon as it labels an exposed
-       node odd, or makes an optional node even.  Each of its nodes but the
+    - x is unlabelled: x becomes odd under v, and its mate even.  If x is
+      exposed, the path from x back to the root is flipped (augment); if
+      x's mate is optional, that mate is exposed and the root covered
+      instead (``flip_to_even``).
+    - x is even in t: the blossom is contracted.  Blossom bases are a
+      union-find with path halving (Gabow 1976; Tarjan 1983, ch. 9): a
+      contraction walks each side up to the lowest common ancestor and
+      points each set root it meets there, so it costs the blossom's path,
+      not the tree.  An optional node turned even covers the root through
+      ``flip_to_even``.  The lowest common ancestor is only ever sought
+      inside one tree.
+    - x is even in another tree: the edge vx joins the two roots by an
+      augmenting path.  vx is matched and each half is flipped from its end's
+      old mate back to its root.
+    - x is odd in another tree: v is recorded on x's list ``seen_by[x]``.
+
+    A tree that covers its root is released: its nodes are unlabelled, and
+    each one that another tree met is handed back to the live even nodes on
+    its list, which scan that one node again.  Those are the only even nodes
+    of other trees whose scan saw it labelled, so a release regrows nothing
+    else: a tree that met no released tree is never scanned again.  Every
+    covered required node stays covered, since only an optional node is
+    ever exposed.
+
+    When the queue runs dry, every tree still in the forest dies with its
+    labels.  Let D be their union.  The lemma below shows that no matching
+    covers the covered required nodes and a root of D as well; since the
+    sets of required nodes that matchings can cover are the independent sets
+    of a matroid (the matching matroid), the covered ones then form a
+    largest such set.  A tree may also end at a matched optional node, which
+    the classical lemma does not cover, so the proof is given in full.
+
+    1. A tree of D holds no even optional node and no exposed node other
+       than its root: reaching an exposed node odd, or making an optional
+       node even, releases the tree at once.  Each of its nodes but the
        root is matched to another node of it.
-    2. Every neighbour of an even node of the tree lies in the tree or in D:
-       the search scanned each even node's neighbours and skipped only
-       those in D, each unlabelled one became odd, and any two adjacent
-       even nodes ended in one blossom.  The tree therefore reaches the
-       rest of the graph only through its odd nodes, by unmatched edges.
-    3. So an alternating path from a live root that enters D enters at an
-       odd node u, by an unmatched edge, and takes u's matched edge to the
-       base of the blossom below u.  From an even node it can go only to
-       nodes of D.  It leaves a blossom only by an unmatched edge to an odd
-       node of the same tree or, by step 2 for that tree, of an earlier
-       dead tree, and then takes that node's matched edge again.  So it
-       enters blossoms only at their bases, by matched edges, and never
-       enters a root's blossom, whose base has no mate.  It can never leave
-       D.  It can never end in D either: an augmenting path needs an
-       exposed end, and D's only exposed nodes are roots; a path that
-       turns an optional node even reaches it by its matched edge, which
-       in D makes it an even node, and D has no even optional node.
+    2. Every neighbour x of an even node v of D lies in D, in v's tree or
+       odd in another tree of D, and two adjacent even nodes of one tree
+       share a blossom.  v was queued when it became even and scanned
+       after that.  Each x was then joined to v's tree, found in it, or
+       found odd in a tree u and v recorded on x's list; an even x of
+       another tree would have released v's tree.  If u was released
+       later, x was handed back to v and scanned again, and so on.  When
+       the queue is dry, no scan is pending.  An odd x that turned even
+       later was queued and scanned, and met v; so no two trees of D have
+       adjacent even nodes.  The forest therefore reaches the rest of the
+       graph only through odd nodes of D, by unmatched edges.
+    3. So an alternating path from a root of D never leaves D.  From an
+       even node it can go only to nodes of D.  It leaves a blossom only by
+       an unmatched edge to an odd node, of the same tree or another tree
+       of D, and then takes that node's matched edge, which stays in its
+       tree, to the base of the blossom below it.  So it enters blossoms
+       only at their bases, by matched edges, and never enters another
+       root's blossom, whose base has no mate.  Nor can it end well: an
+       augmenting path needs a second exposed end, and D's only exposed
+       nodes are roots; a path that turns an optional node even reaches it
+       by its matched edge, which in D makes it an even node, and D has no
+       even optional node.
 
-    Every path that covers a later root, by augmenting or by turning a
-    matched optional node even, thus avoids D, so skipping D loses none of
-    them, the flip along it changes no mate in D, and the induction holds.
-    No live node's ``base`` or ``mate`` ever points into D.
+    A matching that covered the covered required nodes and a root r of D
+    as well would, against this one, yield just such a path from r (Berge
+    1957).  Each scan costs the node's neighbours, each blossom its path,
+    and each release its tree plus the hand-backs it queues.
     """
     if init is None:
         mate = [-1] * n
@@ -295,7 +312,9 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
     parent = [-1] * n
     base = list(range(n))
     even = [False] * n
-    dead = [False] * n
+    tree: list[list[int] | None] = [None] * n
+    seen_by: list[list[int] | None] = [None] * n
+    handed: list[list[int] | None] = [None] * n
 
     def find(x: int) -> int:
         while base[x] != x:
@@ -346,52 +365,101 @@ def _blossom_matching(n: int, own: Sequence[Sequence[int]],
         mate[x] = -1
         flip(u)
 
-    def try_augment(root: int, touched: list[int]) -> bool:
-        even[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in chain(own[v], shared[v]):
-                if mate[v] == to or dead[to]:
-                    continue
-                if even[to]:
-                    if find(v) == find(to):
-                        continue
-                    lca = find_lca(v, to)
+    def release(*trees: list[int]) -> None:
+        """Unlabel the nodes of ``trees``, which have just covered their
+        roots, and hand each node that other trees met back to the even
+        nodes that met it: the queue entry ~w scans only ``handed[w]``."""
+        for nodes in trees:
+            for i in nodes:
+                base[i] = i
+                even[i] = False
+                tree[i] = None
+                met = seen_by[i]
+                if met is not None:
+                    seen_by[i] = None
+                    for w in met:
+                        if even[w]:
+                            xs = handed[w]
+                            if xs is None:
+                                handed[w] = [i]
+                                queue.append(~w)
+                            else:
+                                xs.append(i)
+
+    roots = [v for v in range(n) if mate[v] < 0 and not is_optional[v]]
+    for r in roots:
+        even[r] = True
+        tree[r] = [r]
+    queue = deque(roots)  # v: scan v's neighbours; ~w: scan handed[w]
+    while queue:
+        v = queue.popleft()
+        if v >= 0:
+            if not even[v]:
+                continue
+            targets = own[v] + shared[v]
+        else:
+            v = ~v
+            targets, handed[v] = handed[v], None
+            if not even[v]:
+                continue
+        t = tree[v]
+        v_base = -1
+        for to in targets:
+            u = tree[to]
+            if u is not t:
+                if u is None:
+                    parent[to] = v
+                    tree[to] = t
+                    t.append(to)
+                    m = mate[to]
+                    if m < 0:
+                        flip(to)
+                        release(t)
+                        break
+                    if is_optional[m]:
+                        flip_to_even(m)
+                        release(t)
+                        break
+                    even[m] = True
+                    tree[m] = t
+                    t.append(m)
+                    queue.append(m)
+                elif even[to]:
+                    mv, mt = mate[v], mate[to]
+                    mate[v], mate[to] = to, v
+                    flip(mv)
+                    flip(mt)
+                    release(t, u)
+                    break
+                else:
+                    met = seen_by[to]
+                    if met is None:
+                        seen_by[to] = [v]
+                    else:
+                        met.append(v)
+            elif even[to]:
+                if v_base < 0:
+                    v_base = find(v)
+                if find(to) != v_base:
+                    lca = v_base = find_lca(v, to)
                     odd: list[int] = []
                     walk(v, lca, to, odd)
                     walk(to, lca, v, odd)
                     for x in odd:
                         if is_optional[x]:
                             flip_to_even(x)
-                            return True
+                            release(t)
+                            break
                         even[x] = True
-                    queue.extend(odd)
-                elif parent[to] < 0:
-                    parent[to] = v
-                    touched.append(to)
-                    if mate[to] < 0:
-                        flip(to)
-                        return True
-                    if is_optional[mate[to]]:
-                        flip_to_even(mate[to])
-                        return True
-                    touched.append(mate[to])
-                    even[mate[to]] = True
-                    queue.append(mate[to])
-        return False
-
-    for v in range(n):
-        if mate[v] < 0 and not is_optional[v]:
-            touched = [v]
-            if try_augment(v, touched):
-                for i in touched:
-                    parent[i] = -1
-                    base[i] = i
-                    even[i] = False
-            else:
-                for i in touched:
-                    dead[i] = True
+                    else:
+                        queue.extend(odd)
+                        continue
+                    break
+    dead = [False] * n
+    for r in roots:
+        if mate[r] < 0:
+            for i in tree[r]:
+                dead[i] = True
     return mate, dead, even
 
 
@@ -431,10 +499,10 @@ def _gadget_matching(instance: MatchingInstance
        pair takes two free ports while two are left, and otherwise is
        matched to its own inner edge.
 
-    On dense gadgets this leaves only a few nodes exposed for the
-    alternating-tree searches of :func:`_blossom_matching` to
-    finish.  Soft singles are its optional nodes.  The searches read the
-    gadget's blocks through shared per-vertex lists (:func:`_gadget_lists`),
+    On dense gadgets this leaves only a few nodes exposed, the roots of the
+    forest of :func:`_blossom_matching`, which finishes the matching.  Soft
+    singles are its optional nodes.  The forest reads the
+    gadget's blocks through shared per-vertex tuples (:func:`_gadget_lists`),
     in O(nodes + m) space; the ``edges`` and ``decode`` views are never
     expanded here.
     """
@@ -531,8 +599,9 @@ def _factor_from_gadget(g: Graph, a: int, b: int,
     vertex of degree below a makes the answer absent before any gadget.
 
     The only port-port pairs are real edges, and real edge i is matched
-    when its ports 2i and 2i+1 are, so those edges of g form the returned
-    factor, which is re-verified against [a, b] (and parity when requested).
+    when its ports 2i and 2i+1 are, so those edges of g, already canonical
+    in ``instance.real``, form the returned factor in one pass.  It is
+    re-verified against [a, b] (and parity when requested).
     """
     looped = loop_augment(g, a, b) if require_even else (g, 0)
     if any(d < a for d in g.degrees):
@@ -541,8 +610,8 @@ def _factor_from_gadget(g: Graph, a: int, b: int,
     mate = _gadget_matching(instance)[0]
     if _uncovered(instance, mate):
         return None
-    factor = Factor.from_edges(g, [e for i, e in enumerate(instance.real)
-                                   if mate[2 * i] == 2 * i + 1])
+    chosen = [e for i, e in enumerate(instance.real) if mate[2 * i] == 2 * i + 1]
+    factor = Factor(frozenset(chosen), _degrees(g.n, chosen))
     if not verify_factor(g, factor, a, b, require_even):
         raise RuntimeError("internal error: decoded factor failed verification")
     return factor
@@ -566,7 +635,7 @@ def _even_barrier(g: Graph, a: int, b: int
 
     By Tutte's f-factor theorem in deficiency form (Tutte 1952, Can. J.
     Math. 4; Anstee 1985, J. Algorithms 6), the maximum deficiency equals
-    the exposed count.  (S, T) is read off the search trees that failed,
+    the exposed count.  (S, T) is read off the dead trees of the forest,
     whose labels the matching keeps: with A the nodes that are dead and not
     even,
 

@@ -35,7 +35,8 @@ def random_graph_edge_capped(rng: random.Random, n: int, p: float,
 
 def blossom_matching(n, adj, init=None, optional=()) -> list[int]:
     """The library's matching kernel on adjacency lists ``adj``: a mate array."""
-    return search._blossom_matching(n, adj, [()] * n, [None] * n, init, optional)[0]
+    own = [tuple(nbrs) for nbrs in adj]
+    return search._blossom_matching(n, own, [()] * n, [None] * n, init, optional)[0]
 
 
 def degree_interval_search(g: ef.Graph, a: int, b: int,

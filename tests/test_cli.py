@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -97,6 +98,22 @@ def test_find_factor_reports_min_degree_below_a(tmp_path, capsys, even):
     gpath.write_text(ef.to_edge_list_text(ef.complete_bipartite(1, 3)))
     code, out = run(capsys, "find-factor", "--graph", str(gpath),
                     "--a", "2", "--b", "2", *even)
+    assert code == 1
+    result = last_json(out)["result"]
+    assert result["present"] is False
+    assert result["reason"] == "min degree below a"
+
+
+@pytest.mark.parametrize("even", [[], ["--even"]])
+def test_find_factor_on_a_large_edgeless_graph_is_fast(tmp_path, capsys, even):
+    # No neighbour set is built to read the degrees, so the answer costs
+    # O(n): about 0.01 s of CPU, where a set per vertex took about 0.4 s.
+    gpath = tmp_path / "empty.edges"
+    gpath.write_text("200000 0\n")
+    start = time.process_time()
+    code, out = run(capsys, "find-factor", "--graph", str(gpath),
+                    "--a", "2", "--b", "4", *even)
+    assert time.process_time() - start < 0.1
     assert code == 1
     result = last_json(out)["result"]
     assert result["present"] is False

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import signal
 
 import networkx as nx
 import numpy as np
@@ -128,6 +129,55 @@ def test_sigma2():
     assert ef.sigma2(ef.example1(4, 12, 9)) == 12
     assert ef.sigma2(ef.example2(4, 24, 6)) == 10
     assert ef.sigma2(STAR) == 2  # two leaves
+
+
+def _naive_sigma2(g):
+    adj = g.adjacency
+    return min((g.degrees[u] + g.degrees[v] for u, v in itertools.combinations(range(g.n), 2)
+                if v not in adj[u]), default=ef.INFINITY)
+
+
+def test_sigma2_equals_the_all_pairs_minimum():
+    rng = random.Random(29)
+    graphs = [ef.complete_graph(n) for n in range(6)]
+    graphs += [ef.build_graph(n, []) for n in range(6)]
+    for n in range(2, 9):
+        u, v = sorted(rng.sample(range(n), 2))
+        graphs.append(ef.build_graph(n, ef.complete_graph(n).edges - {(u, v)}))
+    while len(graphs) < 240:
+        n = rng.randint(1, 16)
+        graphs.append(random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8, 0.95])))
+    infinite = 0
+    for g in graphs:
+        assert ef.sigma2(g) == _naive_sigma2(g), sorted(g.edges)
+        infinite += ef.sigma2(g) == ef.INFINITY
+    assert infinite >= 6
+
+
+def test_sigma2_of_an_edgeless_graph_is_fast():
+    # All n(n-1)/2 pairs took 2.6 s of CPU at n = 10^4; the sorted scan
+    # stops after one pair.
+    g = ef.build_graph(10**6, [])
+
+    def out_of_time(*_):
+        raise TimeoutError("sigma2 took more than 2 s of CPU")
+
+    previous = signal.signal(signal.SIGVTALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_VIRTUAL, 2.0)
+    try:
+        assert ef.sigma2(g) == 0
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+
+
+def test_degrees_are_counted_without_the_neighbour_sets():
+    rng = random.Random(30)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(0, 20), rng.choice([0.1, 0.4, 0.8]))
+        degrees = g.degrees
+        assert "adjacency" not in vars(g)
+        assert degrees == tuple(len(g.adjacency[v]) for v in range(g.n))
 
 
 def test_components_after_deletion():

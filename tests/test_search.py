@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from collections import deque
@@ -387,7 +388,7 @@ def _assert_valid_gadget_matching(ref, matching):
 
 def test_matching_agrees_with_networkx_on_random_graphs():
     # Sparse to mid-density G(n,p) up to n = 40 is full of odd cycles, so
-    # most searches contract blossoms, often nested ones.
+    # most trees contract blossoms, often nested ones.
     rng = random.Random(38)
     for _ in range(300):
         n = rng.randint(2, 40)
@@ -522,21 +523,35 @@ def _gadget(rng):
 
 
 def test_pruned_search_trees_never_block_a_later_search(monkeypatch):
-    # A failed search freezes its tree for every later search, so these
-    # inputs need failed searches followed by successful ones: roots in a
-    # random order, on graphs with no perfect matching.  Each search starts
-    # from deque([root]), so a spy on deque lists the roots in order, and a
-    # root left exposed is one whose search failed.
-    roots = []
+    # Every exposed required node roots one tree of a single forest, grown
+    # from one queue, and the trees left when the queue runs dry die.  A
+    # tree that ends dead must not block a tree that covers its root, nor be
+    # left short of the nodes such a tree frees.  So these inputs need the
+    # two to meet: an even node of one beside an odd node of the other.  A
+    # spy on the queue reads the kernel's labels at every pop and records
+    # each such meeting as a pair of roots.
+    queues, meetings = [], []
 
-    def spy(items):
-        roots.append(items[0])
-        return deque(items)
+    class Spy(deque):
+        def popleft(self):
+            item = super().popleft()
+            labels = sys._getframe(1).f_locals
+            tree, even = labels["tree"], labels["even"]
+            v = item if item >= 0 else ~item
+            if even[v]:
+                meetings.extend((tree[v][0], tree[x][0]) for x in adj[v]
+                                if tree[x] is not None and tree[x] is not tree[v]
+                                and not even[x])
+            return item
+
+    def spy(roots):
+        queues.append(list(roots))
+        return Spy(roots)
 
     monkeypatch.setattr(search, "deque", spy)
     rng = random.Random(44)
     families = [_unbalanced_bipartite, _pendant_paths_on_odd_cycles, _gadget]
-    fail_then_succeed = dict.fromkeys((f.__name__ for f in families), 0)
+    dead_meets_covered = dict.fromkeys((f.__name__ for f in families), 0)
     for _ in range(200):
         for family in families:
             n, edges, optional = family(rng)
@@ -544,19 +559,66 @@ def test_pruned_search_trees_never_block_a_later_search(monkeypatch):
             edges = [(perm[u], perm[v]) for u, v in edges]
             optional = {perm[v] for v in optional}
             adj = gadget_adjacency(n, edges)
-            roots.clear()
+            queues.clear()
+            meetings.clear()
             mate = blossom_matching(n, adj, optional=optional)
             _assert_valid_mate(mate, adj)
-            failed = [mate[r] < 0 for r in roots]
-            first_fail = failed.index(True) if True in failed else len(failed)
-            fail_then_succeed[family.__name__] += False in failed[first_fail:]
+            assert queues == [[v for v in range(n) if v not in optional]]
+            dead_meets_covered[family.__name__] += any(
+                (mate[r] < 0) != (mate[s] < 0) for r, s in meetings)
             if optional:
                 covered = sum(mate[v] >= 0 for v in range(n) if v not in optional)
                 assert covered == _networkx_required_cover(n, edges, optional)
             else:
                 size = sum(v >= 0 for v in mate) // 2
                 assert size == _networkx_matching_size(n, edges)
-    assert min(fail_then_succeed.values()) >= 25, fail_then_succeed
+    assert min(dead_meets_covered.values()) >= 25, dead_meets_covered
+
+
+def test_forest_agrees_with_networkx_on_many_root_gadgets():
+    # With no warm start, every required node of a gadget is a root of the
+    # forest; from the greedy warm start, the ones it leaves exposed are.
+    # Both must cover as many required nodes as networkx, and on a deficient
+    # even gadget the criterion's witness, read off the dead trees, must
+    # re-evaluate to the exposed count.
+    rng = random.Random(45)
+    cases = [(getattr(ef, family)(*params), a, b, True) for family, params, a, b in (
+        ("example1", (4, 12, 9), 4, 12), ("example1", (6, 18, 14), 6, 18),
+        ("example2", (4, 24, 6), 4, 24), ("example2", (4, 24, 8), 4, 24))]
+    for _ in range(40):
+        x = rng.randint(2, 5)
+        y = rng.randint(x + 2, 2 * x + 4)
+        g = ef.build_graph(x + y, [(u, v) for u in range(x) for v in range(x, x + y)
+                                   if rng.random() < rng.choice([0.6, 1.0])])
+        cases.append((g, *rng.choice([(2, 2), (2, 4), (4, 4)]), True))
+        cases.append((g, *rng.choice([(1, 2), (2, 2), (2, 3), (3, 4)]), False))
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.5, 0.8]))
+        cases.append((g, *rng.choice([(2, 2), (2, 4), (4, 4), (2, 6)]), True))
+        cases.append((g, *rng.choice([(1, 2), (1, 3), (2, 3), (2, 4)]), False))
+    deficient = {True: 0, False: 0}
+    for g, a, b, even in cases:
+        looped = ef.loop_augment(g, a, b) if even else (g, 0)
+        inst = ef.tutte_gadget(looped, b, None if even else a)
+        ref = explicit_gadget(looped, b, None if even else a)
+        singles = {s for per in ref.singles for s in per}
+        adj = gadget_adjacency(ref.n_nodes, ref.edges)
+        if even:
+            expected = 2 * _networkx_matching_size(ref.n_nodes, ref.edges)
+        else:
+            expected = _networkx_required_cover(ref.n_nodes, ref.edges, singles)
+        for mate in (blossom_matching(ref.n_nodes, adj, optional=singles),
+                     search._gadget_matching(inst)[0]):
+            _assert_valid_mate(mate, adj)
+            assert sum(mate[v] >= 0 for v in range(ref.n_nodes)
+                       if v not in singles) == expected
+        exposed = ref.n_nodes - len(singles) - expected
+        deficient[even] += exposed > 0
+        if even and exposed:
+            holds, witness = ef.criterion_decide(g, a, b)
+            assert not holds and witness.value == exposed
+            assert ef.even_factor_deficiency(g, a, b, witness.S, witness.T) == exposed
+    assert min(deficient.values()) >= 40, deficient
 
 
 def _assert_warm_matches_cold(looped, b, a=None):
@@ -589,7 +651,7 @@ def _assert_warm_matches_cold(looped, b, a=None):
 
 def test_warm_start_agrees_with_cold_start_on_random_gadgets():
     # Unbalanced bipartite graphs give the gadgets without a perfect
-    # matching, where some search must fail to cover its root.
+    # matching, where some tree must fail to cover its root.
     rng = random.Random(43)
     perfect = {True: 0, False: 0}
     even = parity_free = deficient = 0
@@ -749,22 +811,24 @@ def test_find_even_factor_regular_factors_of_cliques(n, a):
 
 
 def test_find_even_factor_on_k100_at_a_equals_b_is_fast():
-    # a = b leaves the gadget no slack, so every search walks a dense
-    # gadget and contracts many blossoms; each contraction must cost only
-    # its blossom's path
+    # a = b leaves the gadget no slack, so the trees grow over a dense
+    # gadget and contract many blossoms; each contraction must cost only
+    # its blossom's path.  At [74,74] the warm start leaves 1250 roots, far
+    # apart: one search per root took 2.3-3.1 s, the forest about 0.3 s.
     g = ef.complete_graph(100)
-    start = time.process_time()
-    factor = ef.find_even_factor(g, 50, 50)
-    assert time.process_time() - start < 5.0
-    assert factor.degrees == (50,) * 100
+    for a, bound in [(50, 5.0), (74, 1.5)]:
+        start = time.process_time()
+        factor = ef.find_even_factor(g, a, a)
+        assert time.process_time() - start < bound, a
+        assert factor.degrees == (a,) * 100
 
 
 def test_find_ab_factor_on_the_slowest_absent_flow_draw_is_fast():
     # The first draw of the seed-1 bipartite flow stream below, K(53,84)
     # thinned at [4,4], has no factor: many ports of the larger side can
-    # never be covered.  Each failed search freezes its tree, so the next
-    # search skips it instead of walking the same region again; without
-    # that, this one decision took 0.16-0.24 s of CPU.
+    # never be covered.  Their trees grow once, side by side, and die
+    # together; searching again from each such root over the same region
+    # took 0.16-0.24 s of CPU for this one decision.
     g, x, a, b = next(_bipartite_flow_draws(random.Random(1), _any_parity_draw))
     assert (x, g.n - x, a, b) == (53, 84, 4, 4)
     start = time.process_time()
@@ -860,7 +924,7 @@ def test_find_ab_factor_on_a_dense_graph_does_not_recurse():
 
 
 def test_find_ab_factor_needs_an_even_soft_single_to_end_a_search():
-    # No augmenting path covers every port here; a search must end at a
+    # No augmenting path covers every port here; a tree must end at a
     # matched soft single that becomes even and leave that single exposed.
     g = ef.build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)])
     factor = ef.find_ab_factor(g, 2, 3)
