@@ -268,9 +268,9 @@ def _flow(head: list[list[int]], to: list[int], cap: list[int],
 
 def _min_cut(g: Graph, net: tuple[list[list[int]], list[int], list[int]],
              sources: Iterable[tuple[int, Iterable[tuple[int, list[int]]]]]) -> int:
-    """Smallest max-flow on ``net``, a unit network of ``g`` from
-    :func:`_network`, from each source node to each of its targets; 0 if g
-    is disconnected.
+    """Smallest max-flow on ``net``, a unit network of the connected graph
+    ``g`` from :func:`_network`, from each source node to each of its
+    targets.
 
     A target is a node t and a list of arcs that every cut between the
     source and t must hold: those arcs are closed and counted, and the flow
@@ -279,8 +279,6 @@ def _min_cut(g: Graph, net: tuple[list[list[int]], list[int], list[int]],
     and stops once the cut reaches ``best``.  Source i (0-based) runs only while i < ``best``
     (Even's scheme); on a connected graph a cut of 1 is final.
     """
-    if not is_connected(g):
-        return 0
     best = min(g.degrees)
     head, to, cap = net
     unit = cap[:]
@@ -300,16 +298,20 @@ def _min_cut(g: Graph, net: tuple[list[list[int]], list[int], list[int]],
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut: the smallest max-flow from vertex 0 to any
-    other vertex, all on one network with one arc pair per edge."""
+    """Global minimum edge cut: 0 if g is disconnected, else the smallest
+    max-flow from vertex 0 to any other vertex, all on one network with one
+    arc pair per edge."""
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
+    if not is_connected(g):
+        return 0
     net = _network(g.n, ((u, v, 1) for u, v in g.edges))
     return _min_cut(g, net, [(0, ((t, []) for t in range(1, g.n)))])
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Minimum vertex cut; n-1 for complete graphs by convention.
+    """Minimum vertex cut; 0 for disconnected graphs, and n-1 for complete
+    graphs by convention.
 
     The split network has v_in = 2v and v_out = 2v+1 joined by arc 2v, and
     arcs u_out -> v_in and v_out -> u_in for each edge uv; a flow runs from
@@ -324,6 +326,8 @@ def vertex_connectivity(g: Graph) -> int:
     """
     if g.n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
+    if not is_connected(g):
+        return 0
     arcs = [(2 * v, 2 * v + 1, 0) for v in range(g.n)]
     for u, v in g.edges:
         arcs += ((2 * u + 1, 2 * v, 0), (2 * v + 1, 2 * u, 0))

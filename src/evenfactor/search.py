@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import gcd
 from typing import Iterable, Sequence
 
 from .graph import Edge, Graph, _degrees, _require_even_pair, _require_int, \
@@ -476,71 +477,51 @@ def _gadget_matching(instance: MatchingInstance
     nodes other than soft singles as any matching can, with the ``dead`` and
     ``even`` labels that :func:`_blossom_matching` leaves.
 
-    The search starts from a matching built per host vertex v, whose real
-    degree may reach ``top`` = (ports of v) - (hard cores of v):
+    The search starts from a matching built per host vertex v, which may
+    take ``want[v]`` = (ports) - (hard cores) - (soft singles) - 2 (soft
+    pairs) real edges: min(a, d) on both gadgets, a being the least real
+    degree the gadget allows.
 
-    1. Greedy factor: the real edges are walked twice in gadget order, an
-       edge matched port to port while both of its ends have room.  The
-       first walk leaves each vertex the ``slack`` its soft pairs (two
-       ports each) and soft singles can absorb, so it stops every vertex at
-       the least real degree the gadget allows, a; the second fills up to
-       ``top``.  Without the first walk, early vertices take edges that
-       later ones need to reach that least degree.
-    2. Parity repair: soft pairs take ports two at a time, so a vertex with
-       a soft pair and an odd number of ports left below ``top`` can never
-       be finished by them.  In gadget order, each real edge joining two
-       such vertices is toggled, unmatched if chosen and matched if not
-       (both ends then have a port left below ``top``), which makes both
-       counts even.  Vertices without soft pairs, and so every vertex of a
-       parity-free gadget, are left alone.
-    3. Each hard core takes a free port of v.  At most ``top`` ports went
-       to real edges, so one is always left.
-    4. Each soft single takes a free port while one is left.  Each soft
-       pair takes two free ports while two are left, and otherwise is
-       matched to its own inner edge.
+    1. Greedy factor: real edge i = j s mod m is visited for j = 0, ...,
+       m-1, where s is the least odd integer >= floor(0.618 m) coprime to
+       m, and matched port to port while both of its ends have ``want``
+       left.  The stride scatters each vertex's edges over the walk, so
+       that early vertices do not take the edges later ones need.
+    2. Every block node of v, each hard core, soft single and soft-pair
+       node, takes a free port of v.  A vertex with d >= a kept at least
+       d - a free ports and has exactly d - a block nodes; a vertex below
+       a has none.
 
-    On dense gadgets this leaves only a few nodes exposed, the roots of the
-    forest of :func:`_blossom_matching`, which finishes the matching.  Soft
-    singles are its optional nodes.  The forest reads the
-    gadget's blocks through shared per-vertex tuples (:func:`_gadget_lists`),
-    in O(nodes + m) space; the ``edges`` and ``decode`` views are never
+    What stays exposed, the ports a vertex could not fill up to min(a, d)
+    and the deficit nodes, roots the forest of :func:`_blossom_matching`.
+    The forest finishes the matching from any set of exposed roots in one
+    pass, so a second walk or a repair here would only move work to it.
+    Soft singles are its optional nodes.  The forest reads the gadget's
+    blocks through shared per-vertex tuples (:func:`_gadget_lists`), in
+    O(nodes + m) space; the ``edges`` and ``decode`` views are never
     expanded here.
     """
     n = instance.n_nodes
-    real, pairs = instance.real, instance.pairs
+    real, m = instance.real, len(instance.real)
+    cores, singles, pairs = instance.cores, instance.singles, instance.pairs
+    want = [len(ports) - len(cores[v]) - len(singles[v]) - 2 * len(pairs[v])
+            for v, ports in enumerate(instance.ports)]
     mate = [-1] * n
-    room = [len(p) - len(c) for p, c in zip(instance.ports, instance.cores)]
-    slack = [2 * len(ps) + len(s) for ps, s in zip(pairs, instance.singles)]
-    for floor in (slack, [0] * len(room)):
-        for p, (u, v) in zip(range(0, 2 * len(real), 2), real):
-            if mate[p] < 0 and room[u] > floor[u] and room[v] > floor[v]:
-                mate[p], mate[p + 1] = p + 1, p
-                room[u] -= 1
-                room[v] -= 1
-    if any(pairs):
-        for p, (u, v) in zip(range(0, 2 * len(real), 2), real):
-            if pairs[u] and pairs[v] and room[u] % 2 and room[v] % 2:
-                if mate[p] == p + 1:
-                    mate[p] = mate[p + 1] = -1
-                    step = 1
-                else:
-                    mate[p], mate[p + 1] = p + 1, p
-                    step = -1
-                room[u] += step
-                room[v] += step
+    step = int(0.618 * m) | 1
+    while gcd(step, m) > 1:
+        step += 2
+    for j in range(m):
+        i = j * step % m
+        u, v = real[i]
+        if want[u] > 0 and want[v] > 0:
+            mate[2 * i], mate[2 * i + 1] = 2 * i + 1, 2 * i
+            want[u] -= 1
+            want[v] -= 1
     for v, ports in enumerate(instance.ports):
-        free = [p for p in ports if mate[p] < 0]
-        for x in instance.cores[v] + instance.singles[v]:
-            if free:
-                p = free.pop()
-                mate[p], mate[x] = x, p
-        for x, y in pairs[v]:
-            if len(free) >= 2:
-                p, q = free.pop(), free.pop()
-                mate[p], mate[x], mate[q], mate[y] = x, p, y, q
-            else:
-                mate[x], mate[y] = y, x
-    optional = [s for singles in instance.singles for s in singles]
+        free = (p for p in ports if mate[p] < 0)
+        for x, p in zip(chain(cores[v], singles[v], *pairs[v]), free):
+            mate[p], mate[x] = x, p
+    optional = list(chain.from_iterable(singles))
     return _blossom_matching(n, *_gadget_lists(instance), mate, optional)
 
 

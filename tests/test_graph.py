@@ -236,6 +236,19 @@ def test_vertex_connectivity():
         ef.vertex_connectivity(ef.build_graph(0, []))
 
 
+def test_connectivity_of_a_disconnected_graph_builds_no_network(monkeypatch):
+    # A disconnected graph answers 0 before any flow network is built; on
+    # an edgeless graph the 2n-node network cost more than the answer.
+    def no_network(*args):
+        raise AssertionError("built a flow network for a disconnected graph")
+
+    monkeypatch.setattr(ef.graph, "_network", no_network)
+    for g in (ef.build_graph(2, []), ef.build_graph(5000, []),
+              ef.build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])):
+        assert ef.edge_connectivity(g) == 0
+        assert ef.vertex_connectivity(g) == 0
+
+
 def test_edge_connectivity_matches_bipartition_brute_force():
     rng = random.Random(99)
     for _ in range(60):

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from collections import deque
+from itertools import chain
 from pathlib import Path
 
 import networkx as nx
@@ -685,6 +686,52 @@ def test_warm_start_agrees_with_cold_start_on_family_gadgets(g, a, b):
     _assert_warm_matches_cold((g, 0), b, a)
 
 
+def test_warm_start_fills_every_block_and_leaves_only_the_deficit(monkeypatch):
+    # The warm start takes at most min(a, d) real edges per vertex and then
+    # puts every block node on a free port of its own vertex, so the only
+    # ports it hands the forest exposed are each vertex's deficit.
+    inits = []
+    forest = search._blossom_matching
+
+    def spy(n, own, shared, home, init, optional):
+        inits.append(list(init))
+        return forest(n, own, shared, home, init, optional)
+
+    monkeypatch.setattr(search, "_blossom_matching", spy)
+    rng = random.Random(47)
+    cases = [(ef.example1(4, 12, 9), 4, 12), (ef.example1(6, 18, 14), 6, 18),
+             (ef.example2(4, 24, 6), 4, 24), (ef.example2(4, 24, 8), 4, 24),
+             (ef.complete_graph(30), 2, 28)]
+    for i in range(200):
+        if i % 2:
+            x = rng.randint(2, 5)
+            y = rng.randint(x + 2, 3 * x)
+            g = ef.build_graph(x + y, [(u, v) for u in range(x) for v in range(x, x + y)
+                                       if rng.random() < rng.choice([0.5, 0.9])])
+        else:
+            g = random_graph(rng, rng.randint(3, 14), rng.choice([0.2, 0.5, 0.8]))
+        cases.append((g, *rng.choice([(2, 2), (2, 4), (4, 4), (2, 6), (4, 8)])))
+    checked = short = 0
+    for g, a, b in cases:
+        for inst in (ef.tutte_gadget(ef.loop_augment(g, a, b), b),
+                     ef.tutte_gadget((g, 0), b, a)):
+            inits.clear()
+            search._gadget_matching(inst)
+            (mate,) = inits
+            for v, ports in enumerate(inst.ports):
+                d = len(ports)
+                port_set = set(ports)
+                for x in chain(inst.cores[v], inst.singles[v], *inst.pairs[v]):
+                    assert mate[x] in port_set, (v, x)
+                taken = sum(mate[p] == p ^ 1 for p in ports)
+                exposed = sum(mate[p] < 0 for p in ports)
+                assert taken <= min(a, d)
+                assert exposed == min(a, d) - taken
+                checked += 1
+                short += d < a
+    assert checked >= 3000 and short >= 100, (checked, short)
+
+
 def test_matching_init_is_extended_to_a_maximum_matching():
     adj = [list(PETERSEN.adjacency[v]) for v in range(10)]
     init = [-1] * 10
@@ -813,10 +860,12 @@ def test_find_even_factor_regular_factors_of_cliques(n, a):
 def test_find_even_factor_on_k100_at_a_equals_b_is_fast():
     # a = b leaves the gadget no slack, so the trees grow over a dense
     # gadget and contract many blossoms; each contraction must cost only
-    # its blossom's path.  At [74,74] the warm start leaves 1250 roots, far
-    # apart: one search per root took 2.3-3.1 s, the forest about 0.3 s.
+    # its blossom's path.  The strided greedy walk leaves 46 roots at
+    # [74,74] and 16 at [58,58].  Walking the edges in sorted order left
+    # 1250 and 738: one search per root took 2.3-3.1 s at [74,74], and the
+    # forest from those roots 0.15 s there and 0.29 s at [58,58].
     g = ef.complete_graph(100)
-    for a, bound in [(50, 5.0), (74, 1.5)]:
+    for a, bound in [(50, 5.0), (58, 0.1), (74, 0.1)]:
         start = time.process_time()
         factor = ef.find_even_factor(g, a, a)
         assert time.process_time() - start < bound, a
