@@ -56,6 +56,7 @@ from .spectral import (
     SpectralResult,
     SweepRecord,
     lambda1,
+    lambda1_all,
     bipartite_threshold,
     observation_decide,
     classify_threshold,

@@ -20,7 +20,8 @@ from .criteria import conjecture_conditions, order_threshold, prop_f_eval, \
 from .constructions import complete_bipartite, example1, example2, h_na
 from .search import find_ab_factor, find_even_factor
 from .spectral import THRESHOLD_GUARD, bipartite_threshold, classify_threshold, \
-    conjecture_sweep, lambda1, observation_decide, rho, sweep_summary
+    conjecture_sweep, lambda1, lambda1_all, observation_decide, rho, \
+    sweep_summary
 
 PARITY_SEED = 20240801
 PARITY_TRIALS = 10_000
@@ -186,33 +187,33 @@ def _bipartite_grid(min_n_over_2a: bool) -> ClaimRow:
     mismatches = []
     boundary = 0
     compared = 0
-    for n in range(2, 15):
-        for x in range(1, n // 2 + 1):
-            y = n - x
-            g = complete_bipartite(x, y)
-            lam = lambda1(g).lambda1
-            for a, b in pairs:
-                if min_n_over_2a and n < 2 * a:
-                    continue
-                closed = observation_decide(x, y, a, b)
-                searched = find_ab_factor(g, a, b) is not None
-                try:
-                    thr = bipartite_threshold(a, b, n)
-                except ValueError:
-                    mismatches.append((x, y, a, b, "threshold undefined"))
-                    continue
-                cls = classify_threshold(lam, thr)
-                if cls == "boundary":
-                    boundary += 1
-                    if closed != searched:
-                        mismatches.append((x, y, a, b, "closed vs search at boundary"))
-                    continue
-                compared += 1
-                spectral = cls == "above"
-                if not (closed == spectral == searched):
-                    mismatches.append(
-                        (x, y, a, b,
-                         f"closed={closed} spectral={spectral} searched={searched}"))
+    grid = [(x, n - x, complete_bipartite(x, n - x))
+            for n in range(2, 15) for x in range(1, n // 2 + 1)]
+    spectra = lambda1_all(g for _, _, g in grid)
+    for (x, y, g), spec in zip(grid, spectra):
+        n, lam = x + y, spec.lambda1
+        for a, b in pairs:
+            if min_n_over_2a and n < 2 * a:
+                continue
+            closed = observation_decide(x, y, a, b)
+            searched = find_ab_factor(g, a, b) is not None
+            try:
+                thr = bipartite_threshold(a, b, n)
+            except ValueError:
+                mismatches.append((x, y, a, b, "threshold undefined"))
+                continue
+            cls = classify_threshold(lam, thr)
+            if cls == "boundary":
+                boundary += 1
+                if closed != searched:
+                    mismatches.append((x, y, a, b, "closed vs search at boundary"))
+                continue
+            compared += 1
+            spectral = cls == "above"
+            if not (closed == spectral == searched):
+                mismatches.append(
+                    (x, y, a, b,
+                     f"closed={closed} spectral={spectral} searched={searched}"))
     name = ("bipartite-threshold-effective" if min_n_over_2a
             else "bipartite-threshold-grid")
     desc = ("closed form, eigenvalue threshold, and direct search agree on "
@@ -239,20 +240,14 @@ def claim_bipartite_threshold_effective() -> ClaimRow:
 def claim_cubic_root_agreement() -> ClaimRow:
     """lambda1 of the clique-plus-attached-vertex family equals the largest
     root of its characteristic cubic."""
-    worst = 0.0
-    count = 0
-    for n in range(5, 21):
-        for a in range(1, n):
-            if (a * n) % 2:
-                continue
-            count += 1
-            dev = abs(lambda1(h_na(n, a)).lambda1 - rho(n, a))
-            worst = max(worst, dev)
+    cases = [(n, a) for n in range(5, 21) for a in range(1, n) if (a * n) % 2 == 0]
+    spectra = lambda1_all(h_na(n, a) for n, a in cases)
+    worst = max(abs(spec.lambda1 - rho(n, a)) for (n, a), spec in zip(cases, spectra))
     return ClaimRow(
         "cubic-root-agreement",
         "largest eigenvalue of the extremal family matches the cubic root",
         {"n": "5..20", "a": "1..n-1 with a*n even", "tolerance": 1e-6},
-        {"checked": count, "max_deviation": worst},
+        {"checked": len(cases), "max_deviation": worst},
         worst <= 1e-6)
 
 

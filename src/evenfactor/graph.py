@@ -208,8 +208,13 @@ def components_after_deletion(g: Graph, deleted: Iterable[int]) -> list[tuple[in
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
+    """Whether g has at most one component.  Fewer than n - 1 edges, or an
+    isolated vertex among two or more, answers False off ``g.m`` and
+    ``g.degrees`` before any neighbour set is built."""
+    if g.n < 2:
         return True
+    if g.m < g.n - 1 or 0 in g.degrees:
+        return False
     return len(components_after_deletion(g, ())) == 1
 
 

@@ -203,6 +203,50 @@ def gadget_adjacency(n: int, edges) -> list[list[int]]:
     return adj
 
 
+def lambda1_per_component(g: ef.Graph) -> tuple[float, float]:
+    """(λ1, residual) with one ``numpy.linalg.eigh`` per component.
+
+    Components are found by a depth-first search over ``g.edges``, taken in
+    order of least vertex, and each matrix has its rows in sorted vertex
+    order; the residual ||Av - λv||_inf is that of the first component to
+    attain λ1.  This is the eigensolve as it was before ``lambda1`` batched
+    its matrices, so the batched engine must equal it bit for bit.
+    """
+    import numpy as np
+
+    if g.n < 1:
+        raise ValueError("eigenvalue undefined for the empty graph")
+    adj = gadget_adjacency(g.n, g.edges)
+    seen = [False] * g.n
+    best, best_residual = 0.0, 0.0
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if len(comp) == 1:
+            continue
+        comp.sort()
+        index = {v: i for i, v in enumerate(comp)}
+        mat = np.zeros((len(comp), len(comp)))
+        for v in comp:
+            for w in adj[v]:
+                mat[index[v], index[w]] = 1.0
+        values, vectors = np.linalg.eigh(mat)
+        lam, vec = float(values[-1]), vectors[:, -1]
+        if lam > best:
+            best = lam
+            best_residual = float(np.max(np.abs(mat @ vec - lam * vec)))
+    return best, best_residual
+
+
 def exhaustive_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
     """Maximum matching cardinality by memoized recursion over free-vertex sets."""
     adjmask = [0] * n

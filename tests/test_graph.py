@@ -249,6 +249,27 @@ def test_connectivity_of_a_disconnected_graph_builds_no_network(monkeypatch):
         assert ef.vertex_connectivity(g) == 0
 
 
+def test_is_connected_answers_from_edge_count_and_degrees_first():
+    # Fewer than n - 1 edges, or an isolated vertex, is disconnected: the
+    # answer, and both connectivities, come before any neighbour set.
+    edgeless = ef.build_graph(200000, [])
+    assert not ef.is_connected(edgeless)
+    assert ef.edge_connectivity(edgeless) == 0
+    assert ef.vertex_connectivity(edgeless) == 0
+    assert "adjacency" not in edgeless.__dict__
+    k5_and_a_point = ef.build_graph(6, itertools.combinations(range(5), 2))
+    assert not ef.is_connected(k5_and_a_point)
+    assert "adjacency" not in k5_and_a_point.__dict__
+    assert ef.is_connected(ef.build_graph(0, []))
+    assert ef.is_connected(ef.build_graph(1, []))
+    rng = random.Random(31)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.3, 0.6]))
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges)
+        assert ef.is_connected(g) == nx.is_connected(h), sorted(g.edges)
+
+
 def test_edge_connectivity_matches_bipartition_brute_force():
     rng = random.Random(99)
     for _ in range(60):

@@ -3,6 +3,7 @@ import random
 import signal
 import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import evenfactor as ef
 from evenfactor import spectral
-from helpers import random_graph
+from helpers import lambda1_per_component, random_graph
 
 
 # ---------------------------------------------------------------- lambda1
@@ -81,6 +82,115 @@ def test_lambda1_strictly_increases_when_adding_an_edge():
         bigger = ef.build_graph(g.n, list(g.edges) + [extra])
         assert ef.lambda1(bigger).lambda1 > ef.lambda1(g).lambda1 + 1e-9
         done += 1
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return ef.build_graph(offset, edges)
+
+
+def _exactness_corpus():
+    """Graphs whose components share sizes, with isolated vertices, equal-λ1
+    components and one graph whose matrix alone passes the cell budget."""
+    rng = random.Random(47)
+    graphs = [random_graph(rng, rng.randint(1, 12), rng.choice([0.15, 0.3, 0.6, 0.9]))
+              for _ in range(120)]
+    two_k3 = ef.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    k3_c4 = ef.build_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+    c4_k3 = ef.build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (4, 6)])
+    k3_points = ef.build_graph(6, [(1, 3), (3, 5), (1, 5)])
+    # λ1 = 2 and 3 in each component; eigh returns most of them as the same
+    # float with different residuals, so the first one must be kept
+    ties = [_disjoint_union(ef.complete_graph(3), ef.complete_bipartite(1, 4), ef.cycle_graph(5)),
+            _disjoint_union(ef.complete_bipartite(1, 4), ef.complete_graph(3)),
+            _disjoint_union(ef.complete_graph(4), ef.complete_bipartite(3, 3),
+                            ef.complete_bipartite(1, 9))]
+    three_p3 = ef.build_graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
+    big = ef.cycle_graph(300)
+    assert big.n ** 2 > spectral._BATCH_CELLS
+    specials = [two_k3, k3_c4, c4_k3, *ties, ef.build_graph(1, []), ef.build_graph(5, []),
+                k3_points, three_p3, ef.h_na(9, 4), big, ef.complete_bipartite(3, 5)]
+    return graphs[:60] + specials + graphs[60:]
+
+
+@pytest.mark.parametrize("budget", [None, 64, 1], ids=["default", "64", "1"])
+def test_lambda1_all_equals_one_eigh_per_component(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_BATCH_CELLS", budget)
+    corpus = _exactness_corpus()
+    expected = [lambda1_per_component(g) for g in corpus]
+    got = [(r.lambda1, r.residual, r.iterations) for r in ef.lambda1_all(corpus)]
+    assert got == [(lam, res, 0) for lam, res in expected]
+    assert [(r.lambda1, r.residual) for r in map(ef.lambda1, corpus)] == expected
+    # an empty graph mid-stream raises once every graph before it is yielded
+    stream = ef.lambda1_all(corpus[:70] + [ef.build_graph(0, [])] + corpus[70:])
+    before = []
+    with pytest.raises(ValueError, match="empty graph"):
+        for r in stream:
+            before.append((r.lambda1, r.residual))
+    assert before == expected[:70]
+
+
+def _spy_on_eigh(monkeypatch):
+    """The shape of every array passed to ``numpy.linalg.eigh`` from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def test_sweep_solves_one_stack_per_component_size(monkeypatch):
+    # One batch holds every graph conjecture_sweep(6, 2, 4) admits: 74 graphs,
+    # one eigh each before batching, and now one eigh per component size.
+    calls = _spy_on_eigh(monkeypatch)
+    records = ef.conjecture_sweep(6, 2, 4)
+    sizes = [shape[-1] for shape in calls]
+    assert len(sizes) == len(set(sizes)) and sizes
+    assert all(len(shape) == 3 and shape[1] == shape[2] for shape in calls)
+    assert sum(shape[0] for shape in calls) == 74
+    assert len(records) == 17
+
+
+def test_random_sweep_across_many_batches_equals_the_naive_funnel(monkeypatch):
+    # A budget of four six-vertex matrices flushes about every four admitted
+    # graphs, so the stream crosses dozens of batches.
+    monkeypatch.setattr(spectral, "_BATCH_CELLS", 4 * 36)
+    calls = _spy_on_eigh(monkeypatch)
+    seed, count = 5, 3000
+    records = ef.conjecture_sweep(6, 2, 4, source="random", seed=seed, count=count)
+    stacked = [shape[0] for shape in calls]
+    assert len(stacked) >= 20 and max(stacked) <= 4
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(15) for _ in range(count)]
+    assert records == _naive_funnel(6, 2, 4, masks)
+    assert sum(stacked) >= len(records) >= 20
+
+
+def test_random_sweep_memory_does_not_grow_with_the_count(monkeypatch):
+    # The draws stream through the engine, which holds one batch of graphs
+    # at a time: with a budget of about 28 six-vertex graphs both counts span
+    # several batches, and ten times the draws (and records) stays within a
+    # small factor of the peak.
+    monkeypatch.setattr(spectral, "_BATCH_CELLS", 1 << 10)
+    ef.lambda1(ef.complete_graph(3))
+    peaks = []
+    for count in (2000, 20000):
+        tracemalloc.start()
+        try:
+            ef.conjecture_sweep(6, 2, 4, source="random", seed=3, count=count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 3 * peaks[0]
 
 
 # ------------------------------------------------------ bipartite threshold
