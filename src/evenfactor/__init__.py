@@ -16,16 +16,13 @@ from .formats import (
     to_edge_list_text,
     from_edge_list_text,
     to_dot,
-    from_dot,
     to_json,
 )
 from .criteria import (
     CriterionWitness,
     Condition,
     ConditionReport,
-    odd_cut_q,
     even_factor_deficiency,
-    parity_check,
     criterion_decide,
     main_theorem_conditions,
     conjecture_conditions,

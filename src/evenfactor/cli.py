@@ -163,7 +163,7 @@ def _cmd_spectral(ns) -> int:
     res = lambda1(g)
     _, delta, big = degree_profile(g) if g.n else ((), None, None)
     result = to_json(res) | {
-        "min_degree": delta, "max_degree": big, "sigma2": repr(sigma2(g)),
+        "min_degree": delta, "max_degree": big, "sigma2": to_json(sigma2(g)),
         "edge_connectivity": edge_connectivity(g) if g.n >= 2 else None,
         "vertex_connectivity": vertex_connectivity(g) if g.n >= 2 else None,
     }

@@ -72,25 +72,6 @@ class ConditionReport:
         raise KeyError(name)
 
 
-def _split_masks(g: Graph, s: Iterable[int], t: Iterable[int]
-                 ) -> tuple[Sequence[int], int, int]:
-    """Adjacency masks of g and masks of a validated disjoint (S, T); a
-    ScaleError above ``DEFICIENCY_VERTEX_CAP``, before any mask is built."""
-    if g.n > DEFICIENCY_VERTEX_CAP:
-        raise ScaleError(
-            f"deficiency evaluation supports n <= {DEFICIENCY_VERTEX_CAP}, got n={g.n}")
-    ss = _as_vertex_set(g, s, "S")
-    tt = _as_vertex_set(g, t, "T")
-    if ss & tt:
-        raise ValueError(f"S and T overlap on {sorted(ss & tt)}")
-    return g.adjacency_masks, sum(1 << v for v in ss), sum(1 << v for v in tt)
-
-
-def odd_cut_q(g: Graph, s: Iterable[int], t: Iterable[int]) -> int:
-    """Count components Q of G-(S+T) whose cut into T has odd size."""
-    return _deficiency_terms(g.n, *_split_masks(g, s, t))[0]
-
-
 def _deficiency_terms(n: int, adj: Sequence[int], s_mask: int, t_mask: int
                       ) -> tuple[int, int]:
     """The (a,b)-free terms (q(S,T), sum_{v in T} d_{G-S}(v)) of the
@@ -126,19 +107,19 @@ def _deficiency_terms(n: int, adj: Sequence[int], s_mask: int, t_mask: int
 
 def even_factor_deficiency(g: Graph, a: int, b: int,
                            s: Iterable[int], t: Iterable[int]) -> int:
-    """Exact value of q(S,T) - b|S| + a|T| - sum_{v in T} d_{G-S}(v)."""
+    """Exact value of q(S,T) - b|S| + a|T| - sum_{v in T} d_{G-S}(v); a
+    ScaleError above ``DEFICIENCY_VERTEX_CAP``, before any mask is built."""
     _require_even_pair(a, b)
-    adj, s_mask, t_mask = _split_masks(g, s, t)
-    q, e = _deficiency_terms(g.n, adj, s_mask, t_mask)
-    return q - b * s_mask.bit_count() + a * t_mask.bit_count() - e
-
-
-def parity_check(g: Graph, a: int, b: int,
-                 s: Iterable[int], t: Iterable[int]) -> bool:
-    """True iff the deficiency value has the same parity as a (and b)."""
-    if a % 2 != b % 2:
-        raise ValueError(f"a and b must have the same parity, got a={a}, b={b}")
-    return even_factor_deficiency(g, a, b, s, t) % 2 == a % 2
+    if g.n > DEFICIENCY_VERTEX_CAP:
+        raise ScaleError(
+            f"deficiency evaluation supports n <= {DEFICIENCY_VERTEX_CAP}, got n={g.n}")
+    ss = _as_vertex_set(g, s, "S")
+    tt = _as_vertex_set(g, t, "T")
+    if ss & tt:
+        raise ValueError(f"S and T overlap on {sorted(ss & tt)}")
+    q, e = _deficiency_terms(g.n, g.adjacency_masks,
+                             sum(1 << v for v in ss), sum(1 << v for v in tt))
+    return q - b * len(ss) + a * len(tt) - e
 
 
 def criterion_decide(g: Graph, a: int, b: int

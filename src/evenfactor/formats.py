@@ -1,15 +1,15 @@
-"""Edge-list text and DOT serialization for graphs, and the JSON encoding
-of results.
+"""Edge-list text for graphs, DOT output for Graphviz, and the JSON
+encoding of results.
 
 Edge-list format: first line ``n m``, then m lines ``u v`` with 0-based,
-whitespace-separated vertex ids.  DOT output declares every vertex so that
-isolated vertices survive a round trip.  :func:`to_json` is the one JSON
-encoder for every result type.
+whitespace-separated vertex ids; it is read back by
+:func:`from_edge_list_text`.  DOT is written, not read: :func:`to_dot`
+declares every vertex so that isolated vertices are drawn.  :func:`to_json`
+is the one JSON encoder for every result type.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -78,30 +78,3 @@ def to_dot(g: Graph, header: str | None = None) -> str:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_EDGE = re.compile(r"^(\d+)\s*--\s*(\d+);?$")
-_DOT_NODE = re.compile(r"^(\d+);?$")
-
-
-def from_dot(text: str) -> Graph:
-    """Parse DOT produced by :func:`to_dot` (plain integer nodes only)."""
-    nodes: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln or ln.startswith("//") or ln.startswith("graph ") or ln == "}":
-            continue
-        m = _DOT_EDGE.match(ln)
-        if m:
-            u, v = int(m.group(1)), int(m.group(2))
-            nodes.update((u, v))
-            edges.append((u, v))
-            continue
-        m = _DOT_NODE.match(ln)
-        if m:
-            nodes.add(int(m.group(1)))
-            continue
-        raise ValueError(f"unrecognized DOT line: {raw!r}")
-    n = max(nodes) + 1 if nodes else 0
-    return build_graph(n, edges)

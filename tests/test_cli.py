@@ -30,8 +30,8 @@ def test_construct_writes_edge_list_and_dot(tmp_path, capsys):
     assert payload["result"]["n"] == 20 and payload["result"]["m"] == 79
     g = ef.from_edge_list_text(edges.read_text())
     assert (g.n, g.m) == (20, 79)
-    assert ef.from_dot(dot.read_text()) == g
-    assert dot.read_text().startswith('// {"a": 4')
+    assert dot.read_text() == ef.to_dot(
+        g, header='{"a": 4, "b": 12, "family": "example1", "t": 9}')
 
 
 def test_construct_inline_edges_when_no_output_path(capsys):
@@ -274,7 +274,14 @@ def test_spectral_command(tmp_path, capsys):
     path.write_text(ef.to_edge_list_text(ef.complete_bipartite(3, 3)))
     code, out = run(capsys, "spectral", "--graph", str(path))
     assert code == 0
-    assert last_json(out)["result"]["lambda1"] == pytest.approx(3, abs=1e-9)
+    result = last_json(out)["result"]
+    assert result["lambda1"] == pytest.approx(3, abs=1e-9)
+    assert result["sigma2"] == 6 and type(result["sigma2"]) is int
+    # K_5 has no non-adjacent pair, so sigma2 is INFINITY, spelled as in to_json
+    path.write_text(ef.to_edge_list_text(ef.complete_graph(5)))
+    code, out = run(capsys, "spectral", "--graph", str(path))
+    assert code == 0
+    assert last_json(out)["result"]["sigma2"] == "INFINITY"
 
 
 def test_sweep_streams_records_then_summary(capsys):

@@ -23,29 +23,30 @@ K4 = ef.complete_graph(4)
 K5 = ef.complete_graph(5)
 
 
-# ---------------------------------------------------------------- odd_cut_q
+# -------------------------------------------------------- _deficiency_terms
 
-def test_odd_cut_q_star_center():
+def _terms(g, s, t):
+    """(q(S,T), sum_{v in T} d_{G-S}(v)) from the bitmask kernel."""
+    return criteria._deficiency_terms(g.n, g.adjacency_masks,
+                                      sum(1 << v for v in s), sum(1 << v for v in t))
+
+
+def test_deficiency_terms_star_center():
     # three singleton components, each joined to the center by one edge
-    assert ef.odd_cut_q(STAR, (), (0,)) == 3
+    assert _terms(STAR, (), (0,)) == (3, 3)
 
 
-def test_odd_cut_q_empty_t_is_zero():
+def test_deficiency_terms_empty_t_is_zero():
     rng = random.Random(1)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         s = tuple(v for v in range(g.n) if rng.random() < 0.3)
-        assert ef.odd_cut_q(g, s, ()) == 0
+        assert _terms(g, s, ()) == (0, 0)
 
 
-def test_odd_cut_q_c4_single_vertex():
+def test_deficiency_terms_c4_single_vertex():
     # the remaining path meets T in two edges: even, so no component counts
-    assert ef.odd_cut_q(C4, (), (0,)) == 0
-
-
-def test_odd_cut_q_rejects_overlap():
-    with pytest.raises(ValueError, match="overlap"):
-        ef.odd_cut_q(C4, (0,), (0, 1))
+    assert _terms(C4, (), (0,)) == (0, 2)
 
 
 # ------------------------------------------------- even_factor_deficiency
@@ -66,6 +67,12 @@ def test_deficiency_k5_single_vertex():
     assert ef.even_factor_deficiency(K5, 4, 4, (), (0,)) == 0
 
 
+def test_deficiency_rejects_overlap():
+    with pytest.raises(ValueError) as err:
+        ef.even_factor_deficiency(C4, 2, 2, (0,), (0, 1))
+    assert str(err.value) == "S and T overlap on [0]"
+
+
 def test_deficiency_rejects_bad_bounds():
     with pytest.raises(ValueError, match="even"):
         ef.even_factor_deficiency(STAR, 2, 3, (), ())
@@ -81,11 +88,13 @@ def test_criteria_refuse_non_integer_bounds_and_vertex_ids_by_name():
          "a must be an integer, got 2.0"),
         (lambda: ef.main_theorem_conditions(C6, 2.0, 4), "a must be an integer, got 2.0"),
         (lambda: ef.conjecture_conditions(C6, 2, 4.0), "b must be an integer, got 4.0"),
-        (lambda: ef.parity_check(C6, 2, 2.0, (), ()), "b must be an integer, got 2.0"),
+        (lambda: ef.even_factor_deficiency(C6, 2, 2.0, (), ()),
+         "b must be an integer, got 2.0"),
         (lambda: ef.even_factor_deficiency(c5, 2, 2, (1.0,), ()),
          "S contains non-integer vertex ids [1.0]"),
-        (lambda: ef.odd_cut_q(c5, (), (0, "1")), "T contains non-integer vertex ids ['1']"),
-        (lambda: ef.parity_check(c5, 2, 2, (), (np.float64(2.0),)),
+        (lambda: ef.even_factor_deficiency(c5, 2, 2, (), (0, "1")),
+         "T contains non-integer vertex ids ['1']"),
+        (lambda: ef.even_factor_deficiency(c5, 2, 2, (), (np.float64(2.0),)),
          "T contains non-integer vertex ids [np.float64(2.0)]"),
         (lambda: ef.even_factor_deficiency(c5, 2, 2, (), (2, 7, -1)),
          "T contains out-of-range vertices [-1, 7]"),
@@ -101,8 +110,11 @@ def test_deficiency_accepts_numpy_vertex_ids():
     five = np.int64(5)
     assert ef.even_factor_deficiency(path, 2, 2, [], [five]) == \
         ef.even_factor_deficiency(path, 2, 2, [], [5]) == 2
-    assert ef.odd_cut_q(path, [np.int32(4)], [five]) == ef.odd_cut_q(path, [4], [5]) == 1
-    assert ef.parity_check(path, 2, 4, [np.uint8(9)], [five])
+    # q = 1 (the tail past 5), d_{G-S}(5) = 1: 1 - 2 + 2 - 1
+    assert _terms(path, [4], [5]) == (1, 1)
+    assert ef.even_factor_deficiency(path, 2, 2, [np.int32(4)], [five]) == \
+        ef.even_factor_deficiency(path, 2, 2, [4], [5]) == 0
+    assert ef.even_factor_deficiency(path, 2, 4, [np.uint8(9)], [five]) % 2 == 0
 
 
 def _nx_deficiency_terms(g, s, t):
@@ -121,7 +133,7 @@ def _nx_deficiency_terms(g, s, t):
 
 def _check_against_networkx(g, s, t):
     q, e = _nx_deficiency_terms(g, s, t)
-    assert ef.odd_cut_q(g, s, t) == q, (g, s, t)
+    assert _terms(g, s, t) == (q, e), (g, s, t)
     for a, b in ((2, 2), (2, 4), (4, 6)):
         assert (ef.even_factor_deficiency(g, a, b, s, t)
                 == q - b * len(s) + a * len(t) - e), (g, s, t, a, b)
@@ -165,19 +177,18 @@ def test_deficiency_scale_cap():
     # n^2/2 bits on a path) are built; at the cap the value is exact: S is the
     # middle vertex and T the two ends, so both halves have an odd cut into T
     over = ef.path_graph(DEFICIENCY_VERTEX_CAP + 1)
-    for call in (lambda: ef.even_factor_deficiency(over, 2, 2, [], [0]),
-                 lambda: ef.odd_cut_q(over, [], [0]),
-                 lambda: ef.parity_check(over, 2, 2, [], [0])):
-        with pytest.raises(ef.ScaleError, match=f"n <= {DEFICIENCY_VERTEX_CAP}"):
-            call()
+    with pytest.raises(ef.ScaleError) as err:
+        ef.even_factor_deficiency(over, 2, 2, [], [0])
+    assert str(err.value) == (f"deficiency evaluation supports n <= "
+                              f"{DEFICIENCY_VERTEX_CAP}, got n={DEFICIENCY_VERTEX_CAP + 1}")
     assert "adjacency_masks" not in vars(over)
     n = DEFICIENCY_VERTEX_CAP
     path = ef.path_graph(n)
     s, t = [n // 2], [0, n - 1]
-    assert ef.odd_cut_q(path, s, t) == 2
+    assert _terms(path, s, t) == (2, 2)
     assert ef.even_factor_deficiency(path, 2, 2, s, t) == 2 - 2 + 4 - 2
     assert ef.even_factor_deficiency(path, 2, 2, [], [0]) == 1 + 2 - 1
-    assert ef.parity_check(path, 2, 4, s, t)
+    assert ef.even_factor_deficiency(path, 2, 4, s, t) % 2 == 0
 
 
 # -------------------------------------------------------- lovasz_deficiency
@@ -224,13 +235,11 @@ def test_lovasz_agrees_with_even_deficiency_when_bounds_coincide():
                 == -ef.even_factor_deficiency(g, a, a, s, t))
 
 
-# -------------------------------------------------------------- parity_check
+# ------------------------------------------------------------------- parity
 
 def test_parity_examples():
-    assert ef.parity_check(STAR, 2, 2, (), (0,))
-    assert ef.parity_check(C4, 2, 4, (), ())
-    with pytest.raises(ValueError, match="parity"):
-        ef.parity_check(C4, 2, 5, (), ())
+    assert ef.even_factor_deficiency(STAR, 2, 2, (), (0,)) % 2 == 0
+    assert ef.even_factor_deficiency(C4, 2, 4, (), ()) % 2 == 0
 
 
 def test_parity_random_sample():
@@ -241,7 +250,7 @@ def test_parity_random_sample():
         side = [rng.randrange(3) for _ in range(n)]
         s = tuple(v for v in range(n) if side[v] == 1)
         t = tuple(v for v in range(n) if side[v] == 2)
-        assert ef.parity_check(g, 4, 4, s, t)
+        assert ef.even_factor_deficiency(g, 4, 4, s, t) % 2 == 0
 
 
 # ---------------------------------------------------------- criterion_decide

@@ -31,20 +31,22 @@ def test_edge_list_parse_errors():
         ef.from_edge_list_text("")
 
 
+def _naive_dot(g):
+    """The DOT text of g: the header, one line per vertex, one per sorted
+    edge, and the closing brace."""
+    vertex_lines = [f"  {v};" for v in range(g.n)]
+    edge_lines = [f"  {u} -- {v};" for u, v in sorted(g.edges)]
+    return "\n".join(["graph G {", *vertex_lines, *edge_lines, "}"]) + "\n"
+
+
 def test_dot_round_trip():
     rng = random.Random(22)
     for _ in range(30):
         g = random_graph(rng, rng.randint(0, 9), rng.random())
-        assert ef.from_dot(ef.to_dot(g)) == g
+        assert ef.to_dot(g) == _naive_dot(g)
 
 
 def test_dot_header_comment_ignored():
     g = ef.complete_graph(3)
     text = ef.to_dot(g, header='{"family": "demo"}')
-    assert text.startswith('// {"family"')
-    assert ef.from_dot(text) == g
-
-
-def test_dot_rejects_unknown_lines():
-    with pytest.raises(ValueError, match="unrecognized"):
-        ef.from_dot("graph G {\n  0 -> 1;\n}\n")
+    assert text == '// {"family": "demo"}\n' + _naive_dot(g)
