@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ScaleError
-from .graph import Graph, INFINITY, sigma2, \
-    vertex_connectivity, edge_connectivity, degree_profile, _as_vertex_set, \
-    _require_even_pair, _require_ints
+from .graph import Graph, INFINITY, sigma2, degree_profile, _as_vertex_set, \
+    _edge_connectivity, _require_even_pair, _require_ints, _vertex_connectivity
 from .search import _even_barrier
 
 #: Cap for one (S, T) evaluation on adjacency bitmasks, which hold about n^2/2
@@ -165,11 +164,12 @@ def main_theorem_conditions(g: Graph, a: int, b: int) -> ConditionReport:
 
     (i) vertex connectivity at least a, (ii) enough vertices (for a = 2 the
     order threshold is replaced by b + 3), (iii) minimum degree at least
-    a*n/(a+b).  Comparisons are exact.
+    a*n/(a+b).  Comparisons are exact.  The connectivity's lhs is min(κ, a),
+    which is κ whenever (i) fails; its flows stop at a.
     """
     _require_even_pair(a, b)
     n = g.n
-    kappa = vertex_connectivity(g) if n >= 2 else n - 1
+    kappa = _vertex_connectivity(g, a) if n >= 2 else n - 1
     _, delta, _ = degree_profile(g)
     n_bound: Fraction | int = b + 3 if a == 2 else order_threshold(a, b)
     degree_bound = Fraction(a * n, a + b)
@@ -181,10 +181,14 @@ def main_theorem_conditions(g: Graph, a: int, b: int) -> ConditionReport:
 
 
 def conjecture_conditions(g: Graph, a: int, b: int) -> ConditionReport:
-    """Check the four degree-sum conditions of the original conjecture."""
+    """Check the four degree-sum conditions of the original conjecture.
+
+    The edge connectivity's lhs is min(κ′, 2), which is κ′ whenever that
+    condition fails; its flows stop at 2.
+    """
     _require_even_pair(a, b)
     n = g.n
-    kappa_e = edge_connectivity(g) if n >= 2 else 0
+    kappa_e = _edge_connectivity(g, 2) if n >= 2 else 0
     _, delta, _ = degree_profile(g)
     s2 = sigma2(g)
     n_bound = order_threshold(a, b)

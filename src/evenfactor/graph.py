@@ -272,59 +272,87 @@ def _flow(head: list[list[int]], to: list[int], cap: list[int],
 
 
 def _min_cut(g: Graph, net: tuple[list[list[int]], list[int], list[int]],
-             sources: Iterable[tuple[int, Iterable[tuple[int, list[int]]]]]) -> int:
+             sources: Iterable[tuple[int, Iterable[tuple[int, list[int]]]]],
+             bound: int) -> int:
     """Smallest max-flow on ``net``, a unit network of the connected graph
     ``g`` from :func:`_network`, from each source node to each of its
-    targets.
+    targets, or ``bound`` if that is smaller.
 
     A target is a node t and a list of arcs that every cut between the
     source and t must hold: those arcs are closed and counted, and the flow
-    runs only for the rest.  ``best`` starts at the minimum degree, which
-    bounds both connectivities.  Each flow starts from the unit capacities
-    and stops once the cut reaches ``best``.  Source i (0-based) runs only while i < ``best``
-    (Even's scheme); on a connected graph a cut of 1 is final.
+    runs only for the rest.  ``best`` starts at min(δ, ``bound``), since the
+    minimum degree bounds both connectivities, and each flow starts from the
+    unit capacities and stops once the cut reaches ``best``.  So when the
+    sources are those of a theorem that some pair of them is split by a
+    minimum cut whenever the connectivity is below δ, the answer is
+    min(connectivity, ``bound``).  On a connected graph a cut of 1 is final.
     """
-    best = min(g.degrees)
+    best = min(min(g.degrees), bound)
     head, to, cap = net
     unit = cap[:]
-    for i, (s, targets) in enumerate(sources):
-        if i >= best:
-            break
+    for s, targets in sources:
         for t, closed in targets:
+            if best == 1:
+                return best
             if len(closed) >= best:
                 continue
             cap[:] = unit
             for e in closed:
                 cap[e] = 0
             best = len(closed) + _flow(head, to, cap, s, t, best - len(closed))
-            if best == 1:
-                return best
     return best
 
 
-def edge_connectivity(g: Graph) -> int:
-    """Global minimum edge cut: 0 if g is disconnected, else the smallest
-    max-flow from vertex 0 to any other vertex, all on one network with one
-    arc pair per edge."""
+def _dominating_set(g: Graph) -> list[int]:
+    """A dominating set of g, greedily in index order: each vertex that no
+    member yet dominates joins it.  Vertex 0 comes first."""
+    dominated = [False] * g.n
+    members = []
+    for v in range(g.n):
+        if not dominated[v]:
+            members.append(v)
+            dominated[v] = True
+            for w in g.adjacency[v]:
+                dominated[w] = True
+    return members
+
+
+def _edge_connectivity(g: Graph, bound: int) -> int:
+    """min(κ′(g), ``bound``): 0 if g is disconnected, else the smallest
+    max-flow from vertex 0 to each other member of a dominating set D, all on
+    one network with one arc pair per edge.
+
+    If κ′ < δ, each side X of a minimum cut holds a vertex with no
+    neighbour outside X, since otherwise the cut would count at least
+    |X|·max(1, δ - |X| + 1) >= δ edges; D dominates that vertex from inside
+    X.  So both sides meet D, and the flow from 0 to the member of D on the
+    other side finds the cut (Matula, "Determining edge connectivity in
+    O(nm)", FOCS 1987).
+    """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
     if not is_connected(g):
         return 0
     net = _network(g.n, ((u, v, 1) for u, v in g.edges))
-    return _min_cut(g, net, [(0, ((t, []) for t in range(1, g.n)))])
+    targets = [(d, []) for d in _dominating_set(g)[1:]]
+    return _min_cut(g, net, [(0, targets)], bound)
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum vertex cut; 0 for disconnected graphs, and n-1 for complete
-    graphs by convention.
+def _vertex_connectivity(g: Graph, bound: int) -> int:
+    """min(κ(g), ``bound``): 0 if g is disconnected, and min(n-1, ``bound``)
+    if g is complete.
 
     The split network has v_in = 2v and v_out = 2v+1 joined by arc 2v, and
     arcs u_out -> v_in and v_out -> u_in for each edge uv; a flow runs from
-    s_out to t_in.  Source i runs against every later non-adjacent vertex
-    (Even, SIAM J. Comput. 4, 1975): the first vertex outside a minimum cut
-    C has index at most kappa, and another component of G - C lies at later
-    indices.  Each common neighbour w of non-adjacent s and t is a path
-    s-w-t of its own, so every vertex set separating s from t holds all of
+    s_out to t_in.  With v a vertex of least degree, the flows run from v to
+    each of its non-neighbours, then between each non-adjacent pair in N(v)
+    (Esfahanian and Hakimi, Networks 14, 1984).  A minimum cut C that misses
+    v leaves a non-neighbour of v in another component of G - C; one that
+    holds v is minimal, so v has a neighbour in every component of G - C,
+    and two of them are a non-adjacent pair in N(v) that C separates.
+
+    Each common neighbour w of non-adjacent s and t is a path s-w-t of its
+    own, so every vertex set separating s from t holds all of
     W = N(s) & N(t), and kappa(s, t) = |W| + kappa_{G-W}(s, t).  The split
     arcs of W are closed and counted, and the flow runs only for the rest
     of the cut; once |W| reaches the best cut, the pair needs no flow.
@@ -337,7 +365,27 @@ def vertex_connectivity(g: Graph) -> int:
     for u, v in g.edges:
         arcs += ((2 * u + 1, 2 * v, 0), (2 * v + 1, 2 * u, 0))
     adj = g.adjacency
-    sources = ((2 * i + 1, ((2 * j, [2 * w for w in adj[i] & adj[j]])
-                            for j in range(i + 1, g.n) if j not in adj[i]))
-               for i in range(g.n))
-    return _min_cut(g, _network(2 * g.n, arcs), sources)
+    v = min(range(g.n), key=g.degrees.__getitem__)
+    nbrs = sorted(adj[v])
+    pairs = [(v, [t for t in range(g.n) if t != v and t not in adj[v]])]
+    pairs += [(x, [y for y in nbrs[i + 1:] if y not in adj[x]])
+              for i, x in enumerate(nbrs)]
+
+    def targets(s: int, ts: list[int]):
+        return ((2 * t, [2 * w for w in adj[s] & adj[t]]) for t in ts)
+
+    sources = ((2 * s + 1, targets(s, ts)) for s, ts in pairs)
+    return _min_cut(g, _network(2 * g.n, arcs), sources, bound)
+
+
+def edge_connectivity(g: Graph) -> int:
+    """Global minimum edge cut, exact: 0 if g is disconnected.  See
+    :func:`_edge_connectivity`, here with no cap below δ."""
+    return _edge_connectivity(g, g.n)
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """Minimum vertex cut, exact: 0 for disconnected graphs, and n-1 for
+    complete graphs by convention.  See :func:`_vertex_connectivity`, here
+    with no cap below δ."""
+    return _vertex_connectivity(g, g.n)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -607,6 +608,34 @@ def test_conjecture_conditions_examples():
     report = ef.conjecture_conditions(STAR, 2, 2)
     assert not report["edge-connectivity"].holds
     assert not report.overall
+
+
+def test_connectivity_conditions_hold_exactly_when_the_exact_values_reach_the_bound():
+    # the conditions read min(kappa, a) and min(kappa', 2), with flows that
+    # stop at the bound: the same verdicts as the exact values, and the exact
+    # value itself whenever a condition fails
+    rng = random.Random(47)
+    for _ in range(240):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.4, 0.6, 0.8, 0.95]))
+        kappa, kappa_e = ef.vertex_connectivity(g), ef.edge_connectivity(g)
+        for a, b in ((2, 2), (2, 4), (4, 6)):
+            vertex = ef.main_theorem_conditions(g, a, b)["vertex-connectivity"]
+            assert (vertex.holds, vertex.lhs) == (kappa >= a, min(kappa, a))
+            edge = ef.conjecture_conditions(g, a, b)["edge-connectivity"]
+            assert (edge.holds, edge.lhs) == (kappa_e >= 2, min(kappa_e, 2))
+
+
+def test_condition_sets_on_a_dense_200_vertex_graph_take_under_a_second():
+    # exact kappa on this graph takes tens of seconds of CPU, and the
+    # uncapped theorem check did not answer in 300 s; flows that stop at the
+    # bound answer in a few hundredths
+    g = random_graph(random.Random(3), 200, 0.5)
+    for check, name, bound in ((ef.main_theorem_conditions, "vertex-connectivity", 4),
+                               (ef.conjecture_conditions, "edge-connectivity", 2)):
+        start = time.process_time()
+        report = check(g, 4, 6)
+        assert time.process_time() - start < 1.0, name
+        assert report[name].holds and report[name].lhs == bound
 
 
 def test_condition_report_serializes_rationals_and_infinity():

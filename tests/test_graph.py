@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evenfactor as ef
-from evenfactor.graph import _flow, _network
+from evenfactor.graph import _dominating_set, _edge_connectivity, _flow, _network, \
+    _vertex_connectivity
 from helpers import random_graph
 
 
@@ -345,9 +346,11 @@ def _two_cut_graph(rng: random.Random, n: int, cut: tuple[int, int]) -> ef.Graph
 
 
 def test_vertex_connectivity_agrees_with_networkx_on_larger_graphs():
-    # a two-vertex cut at the highest indices is found by a late target, and
-    # one at vertices 0 and 1 needs a source from vertex 2 on, so both Even's
-    # source bound and the capacity reset between flows are exercised
+    # a two-vertex cut at the highest indices or at vertices 0 and 1 leaves
+    # the least-degree vertex on one side of it, so one of that vertex's
+    # many targets, each flow on capacities reset from the last, finds the
+    # cut; the sources between its neighbours are pinned by the hand-built
+    # graph of the test below
     rng = random.Random(43)
     graphs = []
     for _ in range(16):
@@ -385,6 +388,69 @@ def test_vertex_connectivity_agrees_with_networkx_on_larger_graphs():
     assert ef.vertex_connectivity(ef.complete_bipartite(7, 12)) == 7
     assert ef.vertex_connectivity(ef.complete_graph(24)) == 23
     assert {0, 1, 2} <= values and max(values) >= 5
+
+
+def test_capped_connectivities_agree_with_networkx():
+    # the capped forms the condition checkers call give min(connectivity, c)
+    # at every cap c, and the uncapped ones the exact values
+    rng = random.Random(44)
+    values = set()
+    for _ in range(240):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8, 0.95]))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.sorted_edges())
+        kappa, kappa_e = nx.node_connectivity(h), nx.edge_connectivity(h)
+        assert (ef.vertex_connectivity(g), ef.edge_connectivity(g)) == (kappa, kappa_e)
+        for c in range(1, 6):
+            assert _vertex_connectivity(g, c) == min(kappa, c), (c, sorted(g.edges))
+            assert _edge_connectivity(g, c) == min(kappa_e, c), (c, sorted(g.edges))
+        values.add(kappa)
+    assert set(range(7)) <= values
+
+
+def test_vertex_connectivity_finds_a_cut_holding_the_least_degree_vertex():
+    # two K_8 joined only through vertices 0 and 1, each adjacent to three
+    # vertices of each clique: {0, 1} is the one minimum cut, and it holds
+    # vertex 0, the least-degree vertex the flows start from.  Flows from 0
+    # to its non-neighbours give 3 at least; only a pair of neighbours of 0
+    # on the two sides, such as (2, 10), finds the cut of 2.
+    left, right = range(2, 10), range(10, 18)
+    edges = [(u, v) for side in (left, right) for u, v in itertools.combinations(side, 2)]
+    edges += [(h, w) for h in (0, 1) for w in (2, 3, 4, 10, 11, 12)]
+    g = ef.build_graph(18, edges)
+    assert g.degrees[0] == min(g.degrees) == 6
+    assert ef.vertex_connectivity(g) == 2
+    assert [_vertex_connectivity(g, c) for c in (1, 2, 3, 4)] == [1, 2, 2, 2]
+    assert ef.main_theorem_conditions(g, 4, 4)["vertex-connectivity"].lhs == 2
+    h = nx.Graph(edges)
+    assert nx.node_connectivity(h) == 2
+    assert all(0 in cut for cut in nx.all_node_cuts(h))
+
+
+def test_edge_connectivity_finds_a_cut_through_a_dominating_set_target():
+    # two K_5 joined by the edges 3-8 and 4-9: kappa' = 2 below delta = 4,
+    # and the greedy dominating set is {0, 5}, so the one flow, from 0 to 5,
+    # finds the cut; flows from 0 to its clique mates give 4
+    edges = [(u, v) for side in (range(5), range(5, 10))
+             for u, v in itertools.combinations(side, 2)] + [(3, 8), (4, 9)]
+    g = ef.build_graph(10, edges)
+    assert _dominating_set(g) == [0, 5]
+    assert min(g.degrees) == 4
+    assert ef.edge_connectivity(g) == 2
+    assert [_edge_connectivity(g, c) for c in (1, 2, 3)] == [1, 2, 2]
+    assert ef.conjecture_conditions(g, 2, 2)["edge-connectivity"].lhs == 2
+
+
+def test_dominating_set_starts_at_zero_and_dominates():
+    rng = random.Random(46)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 14), rng.choice([0.1, 0.3, 0.6]))
+        members = _dominating_set(g)
+        assert members[0] == 0
+        covered = set(members).union(*(g.adjacency[d] for d in members))
+        assert covered == set(range(g.n))
 
 
 def test_whitney_chain_on_connected_noncomplete():
