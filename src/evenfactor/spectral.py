@@ -11,12 +11,17 @@ of it and the first eigensolve pays for the import.
 Threshold comparisons carry a guard band: values within it are reported as
 boundary cases instead of being silently classified, because the bipartite
 threshold claim is sharp at equality.
+The conjecture sweep eigensolves only graphs that can reach rho: its
+exhaustive source walks the degree-sorted edge masks in an orderly way, row by
+row, within Stanley's edge-count bound, and a graph whose Collatz-Wielandt
+degree bound falls below rho (less twice the guard) is never built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +35,12 @@ from .search import find_ab_factor
 #: Half-width of the guard band used when comparing against sharp thresholds.
 THRESHOLD_GUARD = 1e-9
 
-#: Exhaustive sweeps walk every edge mask with enough edges to reach rho:
-#: 10.7M masks and about 11 s of CPU at this n and a = 2, and about 25 times
-#: as many one vertex later.
-SWEEP_EXHAUSTIVE_CAP = 9
+#: Exhaustive sweeps walk every degree-sorted edge mask with enough edges to
+#: reach rho.  At this n every valid a takes at most about 26 s of CPU: a = 2
+#: and a = 4 walk 919346 masks, eigensolve 57959 of them and peak near 77 MB.
+#: One vertex later a = 4 walks 9.1M masks, 87 s for the walk alone, and the
+#: walk at a = 1 did not end within 200 s.
+SWEEP_EXHAUSTIVE_CAP = 11
 
 #: Random sweeps build all n(n-1)/2 vertex pairs before the first sample:
 #: about 0.12 s and 35 MB at this n, growing as n^2.
@@ -225,9 +232,13 @@ class SweepRecord:
     verdict: str | None  # "present" | "absent" | None
 
 
+def _mask_edges(mask: int, pairs: list[Edge]) -> list[Edge]:
+    """The pairs whose bits are set in ``mask``, bit i standing for pairs[i]."""
+    return [e for e, bit in zip(pairs, bin(mask)[:1:-1]) if bit == "1"]
+
+
 def graph_from_mask(n: int, mask: int, pairs: list[Edge]) -> Graph:
-    edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-    return build_graph(n, edges)
+    return build_graph(n, _mask_edges(mask, pairs))
 
 
 def _min_edges(rho_value: float) -> int:
@@ -245,16 +256,90 @@ def _min_edges(rho_value: float) -> int:
     return max(0, math.ceil(r * (r + 1) / 2))
 
 
-def _degrees_non_increasing(mask: int, inc: list[int]) -> bool:
-    """Whether vertex v's degree, ``(mask & inc[v]).bit_count()`` with
-    ``inc[v]`` the bits of the pairs at v, never increases with v."""
-    prev = len(inc)
-    for bits in inc:
-        deg = (mask & bits).bit_count()
-        if deg > prev:
-            return False
-        prev = deg
-    return True
+def _degree_bound(n: int, absent: list[Edge]) -> float:
+    """Collatz-Wielandt bound on lambda1 of the graph on n vertices that has
+    every pair but those in ``absent``, with its degree vector as test vector.
+
+    For a nonnegative matrix A and a positive vector x, lambda1(A) <=
+    max_v (Ax)_v / x_v.  Isolated vertices are 1x1 zero blocks of the
+    adjacency matrix, and on the rest x = d is positive, so lambda1 <=
+    max_v s_v / d_v over the vertices with d_v > 0, where s_v is the degree
+    sum of v's neighbours; an isolated vertex counts as 0 / 1, so a graph
+    without edges gets 0.  The non-neighbours of v are v itself and its
+    absent pairs, so s_v is the degree sum of all vertices less d_v and less
+    the degrees across v's absent pairs.  A graph that can reach rho lacks
+    few pairs, so the bound costs O(n) plus one step per absent pair.
+    """
+    degrees = [n - 1] * n
+    for u, v in absent:
+        degrees[u] -= 1
+        degrees[v] -= 1
+    total = sum(degrees)
+    sums = [total - d for d in degrees]
+    for u, v in absent:
+        sums[u] -= degrees[v]
+        sums[v] -= degrees[u]
+    return max(map(operator.truediv, sums, [d or 1 for d in degrees]))
+
+
+def _degree_sorted_masks(n: int, missing: int) -> list[int]:
+    """Every edge mask on n >= 2 vertices with at most ``missing`` pairs
+    absent and degrees that never increase with the vertex, in increasing
+    order.  Bit i of a mask is the i-th pair of ``combinations(range(n), 2)``.
+
+    The walk picks the absent pairs, a complement graph H, row by row: at
+    row u it chooses t of the pairs (u, w), w > u, which fixes u's
+    complement degree c_u.  Only choices with c_u >= c_(u-1) are taken, and
+    each later vertex w must still climb to c_u: a choice is dropped when
+    the pairs left in the budget cannot cover the shortfall sum of
+    max(0, c_u - c_w), as each pair adds 1 to two later vertices.  A choice
+    of t pairs lowers the shortfall by at most t.  Each step of t lowers
+    that shortfall less t by at most 1 and the budget left by 2 pairs'
+    worth, so the row stops at the first t whose every choice falls short.
+    The last row, the one pair (n-2, n-1), is decided in place.
+    """
+    size = n * (n - 1) // 2
+    full = (1 << size) - 1
+    last_bit = 1 << (size - 1)
+    last_row = n - 2
+    c = [0] * n  # complement degrees so far
+    choices: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = {}
+    masks = []
+
+    def walk(u: int, prev: int, left: int, removed: int) -> None:
+        base = c[u]
+        if u == last_row:
+            if c[u + 1] >= base:
+                if base >= prev:
+                    masks.append(full ^ removed)
+                if left and base + 1 >= prev:
+                    masks.append(full ^ removed ^ last_bit)
+            return
+        later = c[u + 1:]
+        for t in range(max(0, prev - base), min(left, n - 1 - u) + 1):
+            cu = base + t
+            spare = 2 * (left - t)
+            short = sum(cu - d for d in later if d < cu)
+            if short - t > spare:
+                break
+            row = choices.get((u, t))
+            if row is None:
+                start = u * (2 * n - u - 3) // 2 - 1  # pair (u, w) is bit start + w
+                row = choices[u, t] = [
+                    (ws, sum(1 << (start + w) for w in ws))
+                    for ws in itertools.combinations(range(u + 1, n), t)]
+            for ws, bits in row:
+                if short > spare and short - sum(c[w] < cu for w in ws) > spare:
+                    continue
+                for w in ws:
+                    c[w] += 1
+                walk(u + 1, cu, left - t, removed | bits)
+                for w in ws:
+                    c[w] -= 1
+
+    walk(0, 0, missing, 0)
+    masks.sort()
+    return masks
 
 
 def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
@@ -271,25 +356,30 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     source picks them:
 
     - ``"exhaustive"`` (n <= ``SWEEP_EXHAUSTIVE_CAP``, no seed or count)
-      walks the masks that can reach rho, in increasing order.  By Stanley's
+      yields, in increasing order, every mask with at most
+      C(n,2) - ``_min_edges(rho)`` missing pairs whose degrees never
+      increase with the vertex (``_degree_sorted_masks``).  By Stanley's
       bound, a graph with m edges has lambda1 <= (-1 + sqrt(1 + 8m)) / 2, so
       a graph with fewer than ``_min_edges(rho)`` edges would be classified
-      'below'; only masks with at most C(n,2) - ``_min_edges(rho)`` missing
-      pairs are chosen, at n = 8 and a = 2 499178 of the 2^28 masks.  Of
-      those, a mask whose degrees (popcounts of the mask and the bits of the
-      pairs at each vertex) increase somewhere is skipped: every isomorphism
-      class keeps its representatives with non-increasing degrees.  So the
-      records equal those of building every degree-sorted graph.
+      'below'; and every isomorphism class keeps its representatives with
+      non-increasing degrees.  So the records equal those of building every
+      degree-sorted graph.
     - ``"random"`` (n <= ``SWEEP_RANDOM_CAP``, explicit seed and
       nonnegative count) draws ``count`` uniform masks from
       ``random.Random(seed).getrandbits``, one at a time, in draw order.
 
-    Every mask with at least ``_min_edges(rho)`` edges is built and fed,
-    as the source yields it, through ``lambda1_all``, which solves the built
-    graphs in batches; above rho each gets a verdict, in mask order.  Only a
-    batch's graphs are held at a time.  Every parameter, and the source's cap,
-    is checked before rho is computed or any graph is built; only ``jobs=1``
-    is accepted, since sweeps run in one process.
+    One loop then examines both sources' masks.  A mask with fewer than
+    ``_min_edges(rho)`` edges is skipped, and so is one whose Collatz-Wielandt
+    bound (``_degree_bound``, from its degrees and absent pairs) is below
+    rho - 2 * ``THRESHOLD_GUARD``: twice the guard, as in ``_min_edges``, so
+    that its computed lambda1 could only be classified 'below'.  Neither is
+    built as a graph or eigensolved.  The edgeless graph's bound is 0, so at
+    rho = 0 it is kept, as a boundary record.  Every other mask is built and
+    fed, as the source yields it, through ``lambda1_all``, which solves the
+    built graphs in batches; above rho each gets a verdict, in mask order.
+    Only a batch's graphs are held at a time.  Every parameter, and the
+    source's cap, is checked before rho is computed or any graph is built;
+    only ``jobs=1`` is accepted, since sweeps run in one process.
     """
     _require_ints(n=n, a=a, b=b)
     if not (1 <= a <= b):
@@ -321,22 +411,16 @@ def conjecture_sweep(n: int, a: int, b: int, source: str = "exhaustive",
     pairs = list(itertools.combinations(range(n), 2))
     min_edges = _min_edges(rho_value)
     if source == "exhaustive":
-        inc = [sum(1 << i for i, e in enumerate(pairs) if v in e) for v in range(n)]
-        bits = [1 << i for i in range(len(pairs))]
-        full = (1 << len(pairs)) - 1
-        masks = []
-        for missing in range(len(pairs) - min_edges + 1):
-            for removed in itertools.combinations(bits, missing):
-                mask = full ^ sum(removed)
-                if _degrees_non_increasing(mask, inc):
-                    masks.append(mask)
-        masks.sort()
+        masks = _degree_sorted_masks(n, len(pairs) - min_edges)
     else:
         rng = random.Random(seed)
         masks = (rng.getrandbits(len(pairs)) for _ in range(count))
 
+    reach = rho_value - 2 * THRESHOLD_GUARD
+    full = (1 << len(pairs)) - 1
     admitted = ((mask, graph_from_mask(n, mask, pairs)) for mask in masks
-                if mask.bit_count() >= min_edges)
+                if mask.bit_count() >= min_edges
+                and _degree_bound(n, _mask_edges(full ^ mask, pairs)) >= reach)
     admitted, fed = itertools.tee(admitted)
     spectra = lambda1_all(g for _, g in fed)
     records = []

@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -148,14 +149,15 @@ def _spy_on_eigh(monkeypatch):
 
 
 def test_sweep_solves_one_stack_per_component_size(monkeypatch):
-    # One batch holds every graph conjecture_sweep(6, 2, 4) admits: 74 graphs,
-    # one eigh each before batching, and now one eigh per component size.
+    # One batch holds every graph conjecture_sweep(6, 2, 4) eigensolves: of
+    # its 74 degree-sorted masks, the 31 whose Collatz-Wielandt degree bound
+    # reaches rho, with one eigh per component size.
     calls = _spy_on_eigh(monkeypatch)
     records = ef.conjecture_sweep(6, 2, 4)
     sizes = [shape[-1] for shape in calls]
     assert len(sizes) == len(set(sizes)) and sizes
     assert all(len(shape) == 3 and shape[1] == shape[2] for shape in calls)
-    assert sum(shape[0] for shape in calls) == 74
+    assert sum(shape[0] for shape in calls) == 31
     assert len(records) == 17
 
 
@@ -460,6 +462,141 @@ def test_min_edges_matches_the_stepping_loop():
         assert spectral._min_edges(r) == _min_edges_by_steps(r), (n, a)
 
 
+def _bound_sample():
+    """Seeded graphs on at most 12 vertices: G(n, p) over a range of p,
+    disjoint unions, graphs with isolated vertices, and edgeless graphs."""
+    rng = random.Random(34)
+    graphs = [ef.build_graph(n, []) for n in range(1, 13)]
+    for _ in range(1200):
+        graphs.append(random_graph(rng, rng.randint(1, 12),
+                                   rng.choice((0.1, 0.25, 0.5, 0.75, 0.9, 1.0))))
+    for _ in range(400):
+        n1 = rng.randint(1, 8)
+        n2 = rng.randint(1, 12 - n1)
+        one = random_graph(rng, n1, rng.random())
+        two = random_graph(rng, n2, rng.random())
+        graphs.append(ef.build_graph(n1 + n2, list(one.edges)
+                                     + [(u + n1, v + n1) for u, v in two.edges]))
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        core = random_graph(rng, rng.randint(1, n), rng.random())
+        label = list(range(n))
+        rng.shuffle(label)
+        graphs.append(ef.build_graph(n, [(label[u], label[v]) for u, v in core.edges]))
+    return graphs
+
+
+def test_degree_bound_is_at_least_lambda1():
+    graphs = _bound_sample()
+    assert len(graphs) > 2000
+    isolated = 0
+    for g, spec in zip(graphs, ef.lambda1_all(graphs)):
+        absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                  if (u, v) not in g.edges]
+        bound = spectral._degree_bound(g.n, absent)
+        degs = g.degrees
+        isolated += 0 in degs and g.m > 0
+        assert spec.lambda1 <= bound + 1e-12, sorted(g.edges)
+        # the bound is a mean of neighbour degrees, so never above the largest
+        assert bound <= max(degs)
+    assert isolated > 300
+    assert spectral._degree_bound(5, list(ef.complete_graph(5).edges)) == 0.0
+    assert spectral._degree_bound(6, []) == 5.0
+    # the complement of the 6-cycle is the triangular prism, 3-regular
+    assert spectral._degree_bound(6, list(ef.cycle_graph(6).edges)) == 3.0
+
+
+def test_graphs_the_degree_bound_drops_are_below_rho():
+    # Every mask on at most 7 vertices that Stanley's bound admits at some
+    # valid a, labelled or not: each graph whose degree bound misses
+    # rho - 2 * guard, and that the sweep therefore never builds, must be
+    # one that the unpruned funnel classifies 'below'.
+    dropped = 0
+    for n in range(2, 8):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rhos = {a: ef.rho(n, a) for a in range(1, n) if a * n % 2 == 0}
+        least = {a: spectral._min_edges(rho) for a, rho in rhos.items()}
+        fewest = min(least.values())
+        masks = [mask for mask in range(1 << len(pairs)) if mask.bit_count() >= fewest]
+        graphs = (ef.build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                  for mask in masks)
+        for mask, spec in zip(masks, ef.lambda1_all(graphs)):
+            absent = [e for i, e in enumerate(pairs) if not mask >> i & 1]
+            bound = spectral._degree_bound(n, absent)
+            edges = len(pairs) - len(absent)
+            for a, rho in rhos.items():
+                if edges >= least[a] and bound < rho - 2 * spectral.THRESHOLD_GUARD:
+                    assert ef.classify_threshold(spec.lambda1, rho) == "below", (n, a, mask)
+                    dropped += 1
+    assert dropped > 10000
+
+
+@pytest.mark.parametrize("shift", [-5e-10, 5e-10])
+def test_degree_bound_keeps_graphs_in_the_guard_band(monkeypatch, shift):
+    # rho(n, 1) = n - 2 is met exactly by K_(n-1) plus an isolated vertex,
+    # whose degree bound is n - 2 too.  With rho moved by half a guard either
+    # way, such graphs are still boundary records, so the bound must keep
+    # its margin of twice the guard rather than drop them.
+    exact = ef.rho
+    monkeypatch.setattr(ef, "rho", lambda n, a: exact(n, a) + shift)
+    monkeypatch.setattr(spectral, "rho", ef.rho)
+    for n, b in ((4, 1), (6, 3)):
+        records = ef.conjecture_sweep(n, 1, b)
+        assert records == _naive_sweep(n, 1, b), n
+        assert sum(r.classification == "boundary" for r in records) >= 2
+
+
+def _degree_sorted_by_filter(n):
+    """(missing pairs, mask) for every mask on n vertices whose degrees never
+    increase with the vertex, in increasing mask order."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kept = []
+    for mask in range(1 << len(pairs)):
+        degs = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                degs[u] += 1
+                degs[v] += 1
+        if all(degs[i] >= degs[i + 1] for i in range(n - 1)):
+            kept.append((len(pairs) - mask.bit_count(), mask))
+    return kept
+
+
+def test_orderly_walk_equals_filtering_every_mask():
+    for n in range(2, 7):
+        kept = _degree_sorted_by_filter(n)
+        for missing in range(n * (n - 1) // 2 + 1):
+            expected = [mask for k, mask in kept if k <= missing]
+            assert spectral._degree_sorted_masks(n, missing) == expected, (n, missing)
+
+
+@pytest.mark.parametrize("a, counts", [(2, (74, 328, 2028, 13297)), (4, (6, 119, 718, 4098))])
+def test_orderly_walk_counts_the_degree_sorted_masks(a, counts):
+    # The graphs the sweep built at n = 6..9 before the degree bound, each
+    # the survivor of a test of every combination of missing pairs.
+    for n, count in zip(range(6, 10), counts):
+        missing = n * (n - 1) // 2 - spectral._min_edges(ef.rho(n, a))
+        assert len(spectral._degree_sorted_masks(n, missing)) == count, n
+
+
+def test_sweep_at_nine_vertices_matches_its_pins_within_its_cpu_bound():
+    # Pinned from the sweep that tested every combination of missing pairs
+    # and eigensolved every degree-sorted mask, which took 5 to 11 s of CPU
+    # on a 2-CPU Python 3.11 box; the orderly walk and the degree bound take
+    # about half a second there.
+    start = time.process_time()
+    records = ef.conjecture_sweep(9, 2, 4)
+    elapsed = time.process_time() - start
+    summary = ef.sweep_summary(records)
+    assert (summary["records"], summary["candidates"], summary["boundary"]) == (262, 261, 1)
+    assert summary["present"] == 261 and summary["absent"] == 0
+    masks = [r.mask for r in records]
+    assert all(x < y for x, y in zip(masks, masks[1:]))
+    assert sum(masks) == 11758605651450
+    assert [r.mask for r in records if r.classification == "boundary"] == [12313411583]
+    assert elapsed < 2.5
+
+
 def test_sweep_exhaustive_small_clean():
     records = ef.conjecture_sweep(4, 2, 2, source="exhaustive")
     summary = ef.sweep_summary(records)
@@ -522,9 +659,8 @@ def test_sweep_random_is_reproducible():
 
 
 def test_sweep_exhaustive_memory_stays_small():
-    # The masks are generated one at a time from combinations of missing
-    # pairs: a list of all 2^15 masks at n = 6 alone would peak above 1 MB
-    # (and the 10.7M masks walked at n = 9 about 430 MB).
+    # The orderly walk lists only the degree-sorted masks, 74 at n = 6: a
+    # list of all 2^15 masks would peak above 1 MB.
     tracemalloc.start()
     try:
         ef.conjecture_sweep(6, 2, 4, source="exhaustive")
@@ -535,9 +671,9 @@ def test_sweep_exhaustive_memory_stays_small():
 
 
 def test_sweep_exhaustive_cap():
-    assert spectral.SWEEP_EXHAUSTIVE_CAP == 9
-    with pytest.raises(ef.ScaleError):
-        ef.conjecture_sweep(10, 2, 2, source="exhaustive")
+    assert spectral.SWEEP_EXHAUSTIVE_CAP == 11
+    with pytest.raises(ef.ScaleError, match="n <= 11, got n=12"):
+        ef.conjecture_sweep(12, 2, 2, source="exhaustive")
 
 
 def test_sweep_random_cap_refuses_before_building_anything():
